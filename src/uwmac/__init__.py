@@ -7,19 +7,15 @@ delay and strategy and play the provably optimal policy; closed-form optima
 and brute-force enumeration certify the simulated throughputs.
 """
 
-from .core import (Action, AlohaRole, ArrivalLedger, ContractViolation, Delay,
-                   ModelAwareRole, NodeId, NodeSpec, Outcome, Scenario,
-                   SlotOutcome, TdmaRole, TdmaSchedule, ValidationError,
-                   delay_from_distance, register_transmission, resolve_slot,
-                   validate_scenario)
+from .core import (Action, AlohaRole, ContractViolation, Delay, ModelAwareRole,
+                   NodeId, NodeSpec, Scenario, TdmaRole, TdmaSchedule,
+                   ValidationError, delay_from_distance, validate_scenario)
 from .oracle import (Branch, OracleResult, expected_mixed_throughput,
                      expected_slot_throughput, optimal_aloha, optimal_mixed,
                      optimal_tdma_only, prob_all_silent,
                      success_prob_exactly_one)
-from .policies import (AlohaParams, GatewayRoster, ModelAwarePolicy,
-                       aloha_decide, build_model_aware_policy,
-                       compute_forbidden_send_slots, gateway_select,
-                       tdma_decide, z_value)
+from .policies import (ModelAwarePolicy, build_model_aware_policy,
+                       compute_forbidden_send_slots)
 from .engine import (ComparisonResult, SimReport, SweepPoint, compare_to_oracle,
                      default_tolerance, node_rng, run, sweep)
 from .bruteforce import (ActionSequence, Certificate, HorizonLimitError,
@@ -27,19 +23,17 @@ from .bruteforce import (ActionSequence, Certificate, HorizonLimitError,
                          exact_expected_throughput, policy_sequence)
 
 __all__ = [
-    "Action", "AlohaParams", "AlohaRole", "ActionSequence", "ArrivalLedger",
-    "Branch", "Certificate", "ComparisonResult", "ContractViolation", "Delay",
-    "GatewayRoster", "HorizonLimitError", "ModelAwarePolicy", "ModelAwareRole",
-    "NodeId", "NodeSpec", "OracleResult", "Outcome", "Scenario", "SimReport",
-    "SlotOutcome", "SweepPoint", "TdmaRole", "TdmaSchedule", "ValidationError",
-    "aloha_decide", "build_model_aware_policy", "certify_policy",
+    "Action", "AlohaRole", "ActionSequence", "Branch", "Certificate",
+    "ComparisonResult", "ContractViolation", "Delay", "HorizonLimitError",
+    "ModelAwarePolicy", "ModelAwareRole", "NodeId", "NodeSpec", "OracleResult",
+    "Scenario", "SimReport", "SweepPoint", "TdmaRole", "TdmaSchedule",
+    "ValidationError", "build_model_aware_policy", "certify_policy",
     "compare_to_oracle", "compute_forbidden_send_slots", "default_tolerance",
     "delay_from_distance", "enumerate_optimal", "exact_expected_throughput",
-    "expected_mixed_throughput", "expected_slot_throughput", "gateway_select",
-    "node_rng", "optimal_aloha", "optimal_mixed", "optimal_tdma_only",
-    "policy_sequence", "prob_all_silent", "register_transmission",
-    "resolve_slot", "run", "success_prob_exactly_one", "sweep", "tdma_decide",
-    "validate_scenario", "z_value",
+    "expected_mixed_throughput", "expected_slot_throughput", "node_rng",
+    "optimal_aloha", "optimal_mixed", "optimal_tdma_only", "policy_sequence",
+    "prob_all_silent", "run", "success_prob_exactly_one", "sweep",
+    "validate_scenario",
 ]
 
 __version__ = "0.1.0"

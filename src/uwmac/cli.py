@@ -5,6 +5,7 @@ Exit codes: 0 success, 1 comparison or certificate failure, 2 input error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -17,7 +18,8 @@ from .bruteforce import (ENUMERATION_HORIZON_LIMIT, HorizonLimitError,
 from .core import (Action, AlohaRole, ContractViolation, Delay, ModelAwareRole,
                    NodeSpec, Scenario, TdmaRole, TdmaSchedule, ValidationError,
                    delay_from_distance, validate_scenario)
-from .engine import SimReport, SweepPoint, default_tolerance, run, sweep
+from .engine import (SimReport, check_tolerance, compare_to_oracle,
+                     default_tolerance, run, sweep)
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -36,52 +38,54 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _construct(errors: list[str], path: str, make, *args):
+    """Call a validating constructor, filing each range error under `path`."""
+    try:
+        return make(*args)
+    except ValidationError as exc:
+        errors.extend(f"{path}: {message}" for message in exc.errors)
+        return None
+
+
 def _parse_role(doc, path: str, errors: list[str]):
     if not isinstance(doc, dict) or len(doc) != 1:
         errors.append(f"{path}: expected an object with exactly one of "
                       f"tdma, aloha, model_aware")
         return None
     kind, body = next(iter(doc.items()))
+    if kind not in ("tdma", "aloha", "model_aware"):
+        errors.append(f"{path}.{kind}: unknown role (expected tdma, aloha or model_aware)")
+        return None
+    if not isinstance(body, dict):
+        errors.append(f"{path}.{kind}: expected an object")
+        return None
     if kind == "tdma":
-        if not isinstance(body, dict):
-            errors.append(f"{path}.tdma: expected an object")
-            return None
         frame = body.get("frame_length")
         assigned = body.get("assigned")
         ok = True
-        if not _is_int(frame) or frame < 1:
-            errors.append(f"{path}.tdma.frame_length: expected a positive integer")
+        if not _is_int(frame):
+            errors.append(f"{path}.tdma.frame_length: expected an integer")
             ok = False
         if not isinstance(assigned, list) or not all(_is_int(o) for o in assigned):
             errors.append(f"{path}.tdma.assigned: expected a list of integers")
             ok = False
-        elif ok:
-            bad = sorted(o for o in assigned if not 0 <= o < frame)
-            if bad:
-                errors.append(f"{path}.tdma.assigned: offsets {bad} fall outside "
-                              f"[0, {frame})")
-                ok = False
-        return TdmaRole(TdmaSchedule(frame, frozenset(assigned))) if ok else None
+        schedule = (_construct(errors, f"{path}.tdma", TdmaSchedule, frame,
+                               frozenset(assigned)) if ok else None)
+        return None if schedule is None else TdmaRole(schedule)
     if kind == "aloha":
-        if not isinstance(body, dict):
-            errors.append(f"{path}.aloha: expected an object")
-            return None
         q = body.get("q")
-        if not _is_number(q) or not 0.0 <= q <= 1.0:
-            errors.append(f"{path}.aloha.q: expected a probability in [0, 1]")
+        if not _is_number(q):
+            errors.append(f"{path}.aloha.q: expected a number")
             return None
-        return AlohaRole(float(q))
-    if kind == "model_aware":
-        if not isinstance(body, dict):
-            errors.append(f"{path}.model_aware: expected an object")
-            return None
-        member = body.get("gateway_member", True)
-        if not isinstance(member, bool):
-            errors.append(f"{path}.model_aware.gateway_member: expected a boolean")
-            return None
-        return ModelAwareRole(member)
-    errors.append(f"{path}.{kind}: unknown role (expected tdma, aloha or model_aware)")
-    return None
+        return _construct(errors, f"{path}.aloha.q", AlohaRole, q)
+    member = body.get("gateway_member", True)
+    if not isinstance(member, bool):
+        errors.append(f"{path}.model_aware.gateway_member: expected a boolean")
+        return None
+    return ModelAwareRole(member)
+
+
+GEOMETRY_KEYS = ("distance_m", "sound_speed_mps", "slot_duration_s")
 
 
 def _parse_delay(doc, path: str, errors: list[str]):
@@ -92,24 +96,20 @@ def _parse_delay(doc, path: str, errors: list[str]):
         return None
     if has_slots:
         slots = doc["delay_slots"]
-        if not _is_int(slots) or slots < 0:
-            errors.append(f"{path}.delay_slots: expected a nonnegative integer")
+        if not _is_int(slots):
+            errors.append(f"{path}.delay_slots: expected an integer")
             return None
-        return Delay(slots)
+        return _construct(errors, f"{path}.delay_slots", Delay, slots)
     geometry = doc["geometry"]
     if not isinstance(geometry, dict):
         errors.append(f"{path}.geometry: expected an object")
         return None
-    ok = True
-    for key in ("distance_m", "sound_speed_mps", "slot_duration_s"):
-        value = geometry.get(key)
-        if not _is_number(value) or value <= 0:
-            errors.append(f"{path}.geometry.{key}: expected a positive number")
-            ok = False
-    if not ok:
+    untyped = [key for key in GEOMETRY_KEYS if not _is_number(geometry.get(key))]
+    if untyped:
+        errors.extend(f"{path}.geometry.{key}: expected a number" for key in untyped)
         return None
-    return delay_from_distance(geometry["distance_m"], geometry["sound_speed_mps"],
-                               geometry["slot_duration_s"])
+    return _construct(errors, f"{path}.geometry", delay_from_distance,
+                      *(geometry[key] for key in GEOMETRY_KEYS))
 
 
 def parse_scenario(doc) -> tuple[Scenario | None, list[str]]:
@@ -188,44 +188,45 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _report_row(scenario_id: str, scenario: Scenario, report: SimReport,
+def _report_row(scenario_id: str, seed: int, report: SimReport,
                 tolerance: float | None) -> dict:
+    """CSV row of one report; with an oracle, `tolerance` (None for the
+    four-sigma default) decides the pass column through compare_to_oracle."""
     row = {
         "scenario_id": scenario_id,
-        "seed": scenario.seed,
+        "seed": seed,
         "measured_slots": report.measured_slots,
         "successes": report.successes,
         "collisions": report.collisions,
         "idle": report.idle,
         "empirical": report.empirical_throughput,
         "tdma_cross_collisions": report.tdma_cross_collisions,
-        "oracle": None, "branch": None, "z": None,
-        "deviation": None, "tolerance": None, "pass": None,
         "status": "ok",
     }
     if report.oracle is None:
         row["status"] = "oracle-na"
-    else:
-        row["oracle"] = report.oracle.optimal_throughput
-        row["branch"] = report.oracle.chosen_branch.value
-        row["z"] = report.oracle.z_value
-        row["deviation"] = report.deviation
-        row["tolerance"] = tolerance
-        if tolerance is not None:
-            row["pass"] = report.deviation <= tolerance
-    return {key: _fmt(row[key]) for key in CSV_COLUMNS}
+        return row
+    if tolerance is None:
+        tolerance = default_tolerance(report.oracle.optimal_throughput,
+                                      report.measured_slots)
+    row.update({
+        "oracle": report.oracle.optimal_throughput,
+        "branch": report.oracle.chosen_branch.value,
+        "z": report.oracle.z_value,
+        "deviation": report.deviation,
+        "tolerance": tolerance,
+        "pass": compare_to_oracle(report, report.oracle, tolerance).passed,
+    })
+    return row
 
 
 def _write_csv(out_path: str | None, fieldnames: list[str], rows: list[dict]) -> None:
-    if out_path is None:
-        writer = csv.DictWriter(sys.stdout, fieldnames=fieldnames, lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
-        return
-    with open(out_path, "w", newline="") as handle:
+    """Write rows to out_path, or to stdout when it is None; absent keys stay empty."""
+    with (contextlib.nullcontext(sys.stdout) if out_path is None
+          else open(out_path, "w", newline="")) as handle:
         writer = csv.DictWriter(handle, fieldnames=fieldnames, lineterminator="\n")
         writer.writeheader()
-        writer.writerows(rows)
+        writer.writerows({key: _fmt(row.get(key)) for key in fieldnames} for row in rows)
 
 
 def _input_error(errors: list[str]) -> int:
@@ -234,18 +235,25 @@ def _input_error(errors: list[str]) -> int:
     return EXIT_INPUT
 
 
-def _cmd_run(args) -> int:
+def _load_for_simulation(args) -> tuple[Scenario | None, list[str]]:
+    """Scenario of run and sweep, plus a --tolerance error if there is one."""
     scenario, errors = load_scenario(args.scenario, args.slots, args.warmup, args.seed)
+    if args.tolerance is not None:
+        try:
+            check_tolerance(args.tolerance)
+        except ContractViolation as exc:
+            errors = [*errors, f"--tolerance: {exc}"]
+    return scenario, errors
+
+
+def _cmd_run(args) -> int:
+    scenario, errors = _load_for_simulation(args)
     if errors or scenario is None:
         return _input_error(errors)
     report = run(scenario)
     scenario_id = Path(args.scenario).stem
+    row = _report_row(scenario_id, scenario.seed, report, args.tolerance)
 
-    tolerance = None
-    if report.oracle is not None:
-        tolerance = (args.tolerance if args.tolerance is not None else
-                     default_tolerance(report.oracle.optimal_throughput,
-                                       report.measured_slots))
     print(f"scenario: {scenario_id} (seed {scenario.seed})")
     print(f"nodes: {len(scenario.model_aware_nodes)} model-aware, "
           f"{scenario.num_tdma} tdma (p={scenario.tdma_frame_ratio:.4g}), "
@@ -259,18 +267,14 @@ def _cmd_run(args) -> int:
               f"TDMA arrivals; oracle comparison not applicable", file=sys.stderr)
     if report.oracle is None:
         print("oracle: not applicable")
-        if args.out:
-            _write_csv(args.out, CSV_COLUMNS,
-                       [_report_row(scenario_id, scenario, report, None)])
-        return EXIT_OK
-    print(f"oracle optimal: {report.oracle.optimal_throughput!r} "
-          f"({report.oracle.chosen_branch.value} branch, z={report.oracle.z_value!r})")
-    verdict = "PASS" if report.deviation <= tolerance else "FAIL"
-    print(f"deviation: {report.deviation!r} (tolerance {tolerance!r}) -> {verdict}")
+    else:
+        print(f"oracle optimal: {report.oracle.optimal_throughput!r} "
+              f"({report.oracle.chosen_branch.value} branch, z={report.oracle.z_value!r})")
+        verdict = "PASS" if row["pass"] else "FAIL"
+        print(f"deviation: {report.deviation!r} (tolerance {row['tolerance']!r}) -> {verdict}")
     if args.out:
-        _write_csv(args.out, CSV_COLUMNS,
-                   [_report_row(scenario_id, scenario, report, tolerance)])
-    return EXIT_OK if verdict == "PASS" else EXIT_FAILED
+        _write_csv(args.out, CSV_COLUMNS, [row])
+    return EXIT_FAILED if row.get("pass") is False else EXIT_OK
 
 
 def _parse_grid(specs: list[str]) -> tuple[list[tuple[str, list]], list[str]]:
@@ -295,7 +299,7 @@ def _parse_grid(specs: list[str]) -> tuple[list[tuple[str, list]], list[str]]:
 
 
 def _cmd_sweep(args) -> int:
-    scenario, errors = load_scenario(args.scenario, args.slots, args.warmup, args.seed)
+    scenario, errors = _load_for_simulation(args)
     if errors or scenario is None:
         return _input_error(errors)
     grid, grid_errors = _parse_grid(args.sweep)
@@ -308,30 +312,18 @@ def _cmd_sweep(args) -> int:
         return _input_error([str(exc)])
 
     param_names = [name for name, _ in grid]
-    fieldnames = param_names + CSV_COLUMNS
     rows = []
-    any_failed = False
     for point in points:
+        point_id = f"{scenario_id}#{point.index}"
         if point.report is None:
-            row = {key: "" for key in CSV_COLUMNS}
-            row.update({"scenario_id": f"{scenario_id}#{point.index}",
-                        "seed": _fmt(point.seed),
-                        "status": f"error: {point.error}"})
+            row = {"scenario_id": point_id, "seed": point.seed,
+                   "status": f"error: {point.error}"}
         else:
-            tolerance = None
-            if point.report.oracle is not None:
-                tolerance = (args.tolerance if args.tolerance is not None else
-                             default_tolerance(point.report.oracle.optimal_throughput,
-                                               point.report.measured_slots))
-                if point.report.deviation > tolerance:
-                    any_failed = True
-            point_scenario = replace(scenario, seed=point.seed)
-            row = _report_row(f"{scenario_id}#{point.index}", point_scenario,
-                              point.report, tolerance)
-        row.update({name: _fmt(point.params.get(name)) for name in param_names})
+            row = _report_row(point_id, point.seed, point.report, args.tolerance)
+        row.update(point.params)
         rows.append(row)
-    _write_csv(args.out, fieldnames, rows)
-    return EXIT_FAILED if any_failed else EXIT_OK
+    _write_csv(args.out, param_names + CSV_COLUMNS, rows)
+    return EXIT_FAILED if any(row.get("pass") is False for row in rows) else EXIT_OK
 
 
 def _cmd_verify(args) -> int:
@@ -344,27 +336,23 @@ def _cmd_verify(args) -> int:
                              f"{ENUMERATION_HORIZON_LIMIT}; pass --horizon"])
     try:
         cert = certify_policy(scenario, horizon=horizon)
-        policy_value = cert.policy_value
         if args.corrupt_policy:
             window = replace(scenario, horizon=horizon)
             flipped = ActionSequence(tuple(
                 Action.WAIT if bit is Action.TRANSMIT else Action.TRANSMIT
                 for bit in policy_sequence(window).bits))
-            policy_value = exact_expected_throughput(flipped, window)
+            cert = replace(cert, policy_value=exact_expected_throughput(flipped, window))
     except (HorizonLimitError, ValidationError, ContractViolation) as exc:
         return _input_error([str(exc)])
 
-    max_dev = max(abs(cert.best_value - policy_value),
-                  abs(cert.best_value - cert.oracle_value))
-    matches = max_dev <= 1e-12
     print(f"enumerated optimum over 2^{cert.horizon} sequences: "
           f"{cert.best_value!r} ({cert.best_sequence.to_string()})")
-    print(f"policy value: {policy_value!r}")
+    print(f"policy value: {cert.policy_value!r}")
     print(f"closed-form optimum at window tdma fraction "
           f"{cert.tdma_window_fraction!r}: {cert.oracle_value!r}")
-    print(f"certificate: {'MATCH' if matches else 'MISMATCH'} "
-          f"(max deviation {max_dev:.3e}, tolerance 1e-12)")
-    return EXIT_OK if matches else EXIT_FAILED
+    print(f"certificate: {'MATCH' if cert.matches else 'MISMATCH'} "
+          f"(max deviation {cert.max_deviation:.3e}, tolerance {cert.tolerance!r})")
+    return EXIT_OK if cert.matches else EXIT_FAILED
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,4 +1,4 @@
-"""Slotted-channel primitives: node roles, arrival bookkeeping, collision rule.
+"""Slotted-channel primitives: node roles, delays and scenario validation.
 
 Time is an integer slot index. A node with propagation delay d slots that
 sends in slot t is heard by the access point (AP) in slot t + d. Success and
@@ -82,6 +82,7 @@ class AlohaRole:
     def __post_init__(self):
         if not 0.0 <= self.q <= 1.0:
             raise ValidationError(f"ALOHA transmit probability must lie in [0, 1], got {self.q}")
+        object.__setattr__(self, "q", float(self.q))
 
 
 @dataclass(frozen=True)
@@ -206,95 +207,14 @@ def validate_scenario(scenario: Scenario) -> list[str]:
     return errors
 
 
-class Outcome(Enum):
-    IDLE = "idle"
-    SUCCESS = "success"
-    COLLISION = "collision"
-
-
-@dataclass(frozen=True)
-class SlotOutcome:
-    """Resolution of one AP slot."""
-
-    kind: Outcome
-    nodes: frozenset[NodeId]
-
-    def __post_init__(self):
-        object.__setattr__(self, "nodes", frozenset(self.nodes))
-        n = len(self.nodes)
-        ok = ((self.kind is Outcome.IDLE and n == 0)
-              or (self.kind is Outcome.SUCCESS and n == 1)
-              or (self.kind is Outcome.COLLISION and n >= 2))
-        if not ok:
-            raise ValidationError(f"{self.kind.value} outcome with {n} arrivals")
-
-    @classmethod
-    def idle(cls) -> "SlotOutcome":
-        return cls(Outcome.IDLE, frozenset())
-
-    @classmethod
-    def success(cls, node: NodeId) -> "SlotOutcome":
-        return cls(Outcome.SUCCESS, frozenset({node}))
-
-    @classmethod
-    def collision(cls, nodes: Iterable[NodeId]) -> "SlotOutcome":
-        return cls(Outcome.COLLISION, frozenset(nodes))
-
-    @property
-    def node(self) -> NodeId:
-        if self.kind is not Outcome.SUCCESS:
-            raise ContractViolation(f"no single sender in a {self.kind.value} slot")
-        return next(iter(self.nodes))
-
-
-class ArrivalLedger:
-    """Arrival bookkeeping for one simulation run: AP slot -> arriving node ids.
-
-    Confined to a single run; everything else in this module is immutable.
-    """
-
-    def __init__(self):
-        self._by_slot: dict[int, set[NodeId]] = {}
-        self._registered: set[tuple[NodeId, int]] = set()
-
-    def arrivals_at(self, ap_slot: int) -> frozenset[NodeId]:
-        return frozenset(self._by_slot.get(ap_slot, ()))
-
-    def __len__(self) -> int:
-        return len(self._registered)
-
-
-def register_transmission(ledger: ArrivalLedger, node: NodeId, send_slot: int,
-                          delay: Delay) -> ArrivalLedger:
-    """Record that `node` sends in `send_slot`; the packet lands at send_slot + delay."""
-    if send_slot < 0:
-        raise ContractViolation(f"send slot must be >= 0, got {send_slot}")
-    key = (node, send_slot)
-    if key in ledger._registered:
-        raise ContractViolation(f"node {node} already registered for send slot {send_slot}")
-    ledger._registered.add(key)
-    ledger._by_slot.setdefault(send_slot + delay.slots, set()).add(node)
-    return ledger
-
-
-def resolve_slot(ledger: ArrivalLedger, ap_slot: int) -> SlotOutcome:
-    """Classify one AP slot from its arrival set; pure in the arrivals."""
-    arrivals = ledger.arrivals_at(ap_slot)
-    if not arrivals:
-        return SlotOutcome.idle()
-    if len(arrivals) == 1:
-        return SlotOutcome.success(next(iter(arrivals)))
-    return SlotOutcome.collision(arrivals)
-
-
 def delay_from_distance(distance_m: float, sound_speed_mps: float,
                         slot_duration_s: float) -> Delay:
     """Whole-slot delay for a straight-line acoustic path, rounded up."""
-    errors = [f"{name} must be > 0, got {value}"
+    errors = [f"{name} must be a positive finite number, got {value}"
               for name, value in (("distance_m", distance_m),
                                   ("sound_speed_mps", sound_speed_mps),
                                   ("slot_duration_s", slot_duration_s))
-              if value <= 0]
+              if not (math.isfinite(value) and value > 0)]
     if errors:
         raise ValidationError(errors)
     quotient = distance_m / (sound_speed_mps * slot_duration_s)

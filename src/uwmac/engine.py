@@ -145,11 +145,16 @@ class ComparisonResult:
     deviation: float
 
 
+def check_tolerance(tolerance: float) -> None:
+    """Reject a comparison tolerance that is not a positive finite number."""
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise ContractViolation(f"tolerance must be a positive finite number, got {tolerance}")
+
+
 def compare_to_oracle(report: SimReport, oracle: OracleResult,
                       tolerance: float) -> ComparisonResult:
     """Pass iff |empirical - optimal| <= tolerance."""
-    if tolerance <= 0:
-        raise ContractViolation(f"tolerance must be > 0, got {tolerance}")
+    check_tolerance(tolerance)
     deviation = abs(report.empirical_throughput - oracle.optimal_throughput)
     return ComparisonResult(deviation <= tolerance, deviation)
 
@@ -204,9 +209,8 @@ def _apply_parameter(scenario: Scenario, name: str, value) -> Scenario:
         return replace(scenario, horizon=int(value))
     if name == "warmup":
         return replace(scenario, warmup=int(value))
-    if name == "seed":
-        return replace(scenario, seed=int(value))
-    raise ValidationError(f"unknown sweep parameter {name!r}")
+    # sweep has already rejected every other name
+    return replace(scenario, seed=int(value))
 
 
 def sweep(base: Scenario, grid: Sequence[tuple[str, Sequence]]) -> list[SweepPoint]:

@@ -94,14 +94,10 @@ def optimal_aloha(q: Sequence[float]) -> OracleResult:
     z = prod(1 - q_i) - sum_i q_i prod_{j != i} (1 - q_j) is df/db. Negative z
     means staying silent wins (throughput = P(exactly one ALOHA transmits));
     otherwise transmitting every slot wins (throughput = prod(1 - q_i)).
-    For a single sender this reduces to q if q > 0.5, else 1 - q.
+    For a single sender this reduces to q if q > 0.5, else 1 - q. This is the
+    mixed optimum with no TDMA side (p = 0).
     """
-    silent = prob_all_silent(q)
-    exactly_one = success_prob_exactly_one(q)
-    z = silent - exactly_one
-    if z < 0:
-        return OracleResult(exactly_one, Branch.SILENT, z)
-    return OracleResult(silent, Branch.TRANSMIT, z)
+    return optimal_mixed(0.0, q)
 
 
 def expected_mixed_throughput(b: float, p: float, q: Sequence[float]) -> float:

@@ -1,9 +1,8 @@
-"""Per-slot decision logic: TDMA schedules, ALOHA coin flips, and the
-precomputed optimal policy of the model-aware side with its round-robin
-gateway roster."""
+"""The precomputed optimal policy of the model-aware side: forbidden send
+slots from the TDMA schedules, and a static default action from the sign of z."""
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -11,32 +10,7 @@ import numpy as np
 from .core import (Action, ContractViolation, Delay, ModelAwareRole, NodeId,
                    Scenario, TdmaSchedule, ValidationError,
                    gateway_strict_errors)
-from .oracle import prob_all_silent, success_prob_exactly_one
-
-
-@dataclass(frozen=True)
-class AlohaParams:
-    """Constant per-slot transmission probability."""
-
-    q: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.q <= 1.0:
-            raise ValidationError(f"ALOHA transmit probability must lie in [0, 1], got {self.q}")
-
-
-def tdma_decide(schedule: TdmaSchedule, t: int) -> Action:
-    """Deterministic frame schedule: transmit iff the slot's frame offset is assigned."""
-    if t < 0:
-        raise ContractViolation(f"slot index must be >= 0, got {t}")
-    if t % schedule.frame_length in schedule.assigned:
-        return Action.TRANSMIT
-    return Action.WAIT
-
-
-def aloha_decide(params: AlohaParams, rng: np.random.Generator) -> Action:
-    """One Bernoulli(q) draw from the node's stream."""
-    return Action.TRANSMIT if rng.random() < params.q else Action.WAIT
+from .oracle import optimal_mixed
 
 
 def compute_forbidden_send_slots(tdma_nodes: Sequence[tuple[TdmaSchedule, Delay]],
@@ -62,16 +36,6 @@ def compute_forbidden_send_slots(tdma_nodes: Sequence[tuple[TdmaSchedule, Delay]
         offsets = np.fromiter(schedule.assigned, dtype=np.int64)
         hit |= (t >= 0) & np.isin(t % schedule.frame_length, offsets)
     return {int(s) for s in send[hit]}
-
-
-def z_value(q: Sequence[float]) -> float:
-    """Derivative of per-slot throughput w.r.t. the model-aware transmit probability.
-
-    prod(1 - q_i) - sum_i q_i prod_{j != i} (1 - q_j); reduces to 1 - 2q for a
-    single sender and to 1 for an empty list. Nonnegative z means transmitting
-    every slot is optimal, negative means staying silent wins.
-    """
-    return prob_all_silent(q) - success_prob_exactly_one(q)
 
 
 @dataclass(frozen=True)
@@ -111,32 +75,7 @@ def build_model_aware_policy(scenario: Scenario, ma_node: NodeId) -> ModelAwareP
     tdma = [(n.role.schedule, n.delay) for n in scenario.tdma_nodes]
     forbidden = compute_forbidden_send_slots(tdma, node.delay, 0,
                                              scenario.total_send_slots - 1)
-    z = z_value(scenario.aloha_probs)
+    # forbidden slots already dodge every TDMA arrival, so the default faces ALOHA only
+    z = optimal_mixed(0.0, scenario.aloha_probs).z_value
     default = Action.TRANSMIT if z >= 0 else Action.WAIT
     return ModelAwarePolicy(frozenset(forbidden), default, z)
-
-
-@dataclass(frozen=True)
-class GatewayRoster:
-    """Round-robin rotation over the coordinated model-aware members."""
-
-    members: tuple[NodeId, ...]
-    cursor: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "members", tuple(self.members))
-        if not self.members:
-            raise ContractViolation("gateway roster must have at least one member")
-        if not 0 <= self.cursor < len(self.members):
-            raise ContractViolation(f"cursor {self.cursor} out of range for "
-                                    f"{len(self.members)} members")
-
-
-def gateway_select(roster: GatewayRoster,
-                   decision: Action) -> tuple[NodeId | None, GatewayRoster]:
-    """Apply one gateway decision: on TRANSMIT pick the next member in turn,
-    on WAIT keep every member silent and leave the cursor alone."""
-    if decision is Action.WAIT:
-        return None, roster
-    node = roster.members[roster.cursor]
-    return node, replace(roster, cursor=(roster.cursor + 1) % len(roster.members))

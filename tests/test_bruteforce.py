@@ -9,6 +9,7 @@ from uwmac.bruteforce import (ActionSequence, HorizonLimitError, certify_policy,
 from uwmac.core import (Action, AlohaRole, ContractViolation, Delay,
                         ModelAwareRole, NodeSpec, Scenario, TdmaRole,
                         TdmaSchedule)
+from uwmac.oracle import optimal_mixed
 
 T, W = Action.TRANSMIT, Action.WAIT
 
@@ -198,3 +199,25 @@ def test_gateway_group_counts_as_one_decision_stream():
     cert = certify_policy(scn)
     assert cert.matches
     assert cert.best_value == 1.0
+
+
+def test_aloha_probabilities_match_joint_enumeration_up_to_ten_nodes():
+    # one slot, so the joint walk is over the 2^N ALOHA subsets alone
+    for n in range(11):
+        q = [round(0.05 + 0.09 * ((3 * i + n) % 10), 2) for i in range(n)]
+        scn = _scenario(_ma(0, 1), *(_aloha(i + 1, i % 3, qi) for i, qi in enumerate(q)),
+                        horizon=1)
+        for text in ("T", "W"):
+            seq = ActionSequence.from_string(text)
+            assert exact_expected_throughput(seq, scn) == pytest.approx(
+                joint_expected_throughput(seq, scn), abs=1e-12)
+
+
+def test_certificate_with_forty_aloha_nodes():
+    q = [0.01 + 0.002 * i for i in range(40)]
+    scn = _scenario(_ma(0, 1), _tdma(1, 2, 4, {0}),
+                    *(_aloha(i + 2, i % 4, qi) for i, qi in enumerate(q)), horizon=8)
+    cert = certify_policy(scn)
+    assert cert.matches
+    assert cert.best_value == pytest.approx(
+        optimal_mixed(0.25, q).optimal_throughput, abs=1e-12)

