@@ -20,7 +20,7 @@ scenario = Scenario(
 )
 
 policy = build_model_aware_policy(scenario, ma_node=0)
-forbidden = sorted(policy.forbidden_send_slots)[:6]
+forbidden = policy.forbidden_send_slots[:6].tolist()
 print(f"first forbidden send slots: {forbidden} (then every 5th)")
 print(f"default action elsewhere:   {policy.default_action.value} (z = {policy.z_value})")
 

@@ -236,13 +236,20 @@ def _input_error(errors: list[str]) -> int:
 
 
 def _load_for_simulation(args) -> tuple[Scenario | None, list[str]]:
-    """Scenario of run and sweep, plus a --tolerance error if there is one."""
+    """Scenario of run and sweep, plus any --tolerance or --out error, all
+    found before anything is simulated."""
     scenario, errors = load_scenario(args.scenario, args.slots, args.warmup, args.seed)
     if args.tolerance is not None:
         try:
             check_tolerance(args.tolerance)
         except ContractViolation as exc:
             errors = [*errors, f"--tolerance: {exc}"]
+    if args.out is not None:
+        out = Path(args.out)
+        if not out.parent.is_dir():
+            errors = [*errors, f"--out: directory {str(out.parent)!r} does not exist"]
+        elif out.is_dir():
+            errors = [*errors, f"--out: {args.out!r} is a directory, not a file"]
     return scenario, errors
 
 

@@ -207,6 +207,14 @@ def validate_scenario(scenario: Scenario) -> list[str]:
     return errors
 
 
+def _is_finite(value: float) -> bool:
+    """math.isfinite, also for an int too large to convert to a float."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def delay_from_distance(distance_m: float, sound_speed_mps: float,
                         slot_duration_s: float) -> Delay:
     """Whole-slot delay for a straight-line acoustic path, rounded up."""
@@ -214,9 +222,14 @@ def delay_from_distance(distance_m: float, sound_speed_mps: float,
               for name, value in (("distance_m", distance_m),
                                   ("sound_speed_mps", sound_speed_mps),
                                   ("slot_duration_s", slot_duration_s))
-              if not (math.isfinite(value) and value > 0)]
+              if not (_is_finite(value) and value > 0)]
     if errors:
         raise ValidationError(errors)
-    quotient = distance_m / (sound_speed_mps * slot_duration_s)
+    slot_length_m = sound_speed_mps * slot_duration_s
+    # the product can underflow to 0 and the quotient overflow to infinity
+    quotient = distance_m / slot_length_m if slot_length_m > 0 else math.inf
+    if not math.isfinite(quotient):
+        raise ValidationError(f"distance_m / (sound_speed_mps * slot_duration_s) must "
+                              f"be a finite number of slots, got {quotient}")
     # shave float dust so an exact slot multiple does not round up a slot
     return Delay(max(1, math.ceil(quotient - 1e-9)))

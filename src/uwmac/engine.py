@@ -17,7 +17,7 @@ import numpy as np
 from .core import (Action, AlohaRole, ContractViolation, NodeId, Scenario,
                    TdmaRole, TdmaSchedule, ValidationError, validate_scenario)
 from .oracle import OracleResult, optimal_mixed
-from .policies import build_model_aware_policy
+from .policies import build_model_aware_policy, tdma_slot_mask
 
 
 def node_rng(seed: int, node_id: NodeId) -> np.random.Generator:
@@ -61,13 +61,7 @@ def _transmit_masks(scenario: Scenario) -> dict[NodeId, np.ndarray]:
     masks: dict[NodeId, np.ndarray] = {}
     for node in scenario.nodes:
         if isinstance(node.role, TdmaRole):
-            schedule = node.role.schedule
-            if schedule.assigned:
-                offsets = np.fromiter(schedule.assigned, dtype=np.int64)
-                masks[node.id] = np.isin(np.arange(total, dtype=np.int64)
-                                         % schedule.frame_length, offsets)
-            else:
-                masks[node.id] = np.zeros(total, dtype=bool)
+            masks[node.id] = tdma_slot_mask(node.role.schedule, 0, total)
         elif isinstance(node.role, AlohaRole):
             masks[node.id] = node_rng(scenario.seed, node.id).random(total) < node.role.q
         else:
@@ -76,12 +70,10 @@ def _transmit_masks(scenario: Scenario) -> dict[NodeId, np.ndarray]:
     members = [n.id for n in scenario.model_aware_nodes]
     if members:
         policy = build_model_aware_policy(scenario, members[0])
-        decisions = np.zeros(total, dtype=bool)
         if policy.default_action is Action.TRANSMIT:
-            decisions[:] = True
-            if policy.forbidden_send_slots:
-                forbidden = np.fromiter(policy.forbidden_send_slots, dtype=np.int64)
-                decisions[forbidden[forbidden < total]] = False
+            decisions = ~policy.forbidden
+        else:
+            decisions = np.zeros(total, dtype=bool)
         # round-robin: k-th transmit decision goes to members[k mod K]
         picks = np.flatnonzero(decisions)
         for turn, member in enumerate(members):

@@ -135,6 +135,39 @@ def test_invalid_tolerance_is_an_input_error(tmp_path, capsys, command, toleranc
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("target", ["missing-dir/x.csv", "."], ids=["missing-dir", "a-dir"])
+def test_unwritable_out_is_an_input_error(tmp_path, capsys, monkeypatch, command, target):
+    def never(*args):
+        raise AssertionError("simulated before rejecting --out")
+    monkeypatch.setattr("uwmac.cli.run", never)
+    monkeypatch.setattr("uwmac.cli.sweep", never)
+    path = _write(tmp_path, "pure_tdma.json", PURE_TDMA)
+    argv = [command, "--scenario", path, "--out", str(tmp_path / target)]
+    if command == "sweep":
+        argv += ["--sweep", "seed=1"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: --out: ")
+    assert not (tmp_path / "missing-dir").exists()
+
+
+@pytest.mark.parametrize("distance,speed,slot", [
+    (1e300, 1e-300, 1.0),      # the quotient overflows to infinity
+    (1e3, 1e-200, 1e-200),     # the slot length underflows to zero
+    (10 ** 400, 1500, 0.1),    # an integer too large for a float
+], ids=["quotient-overflow", "slot-underflow", "huge-int"])
+def test_geometry_overflow_is_a_range_error(tmp_path, capsys, distance, speed, slot):
+    doc = {**PURE_TDMA, "nodes": [
+        {"id": 0, "geometry": {"distance_m": distance, "sound_speed_mps": speed,
+                               "slot_duration_s": slot},
+         "role": {"model_aware": {}}},
+        PURE_TDMA["nodes"][1]]}
+    path = _write(tmp_path, "overflow.json", doc)
+    assert main(["run", "--scenario", path]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err and all(line.startswith("error: nodes[0].geometry: ") for line in err)
+
+
 def test_range_errors_carry_field_paths(tmp_path, capsys):
     doc = {
         "nodes": [

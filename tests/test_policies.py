@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from uwmac.core import (Action, AlohaRole, ContractViolation, Delay,
                         ModelAwareRole, NodeSpec, Scenario, TdmaRole,
@@ -39,25 +40,32 @@ def test_aloha_decide_frequency():
     assert abs(hits / draws - 0.3) <= 0.005
 
 
+def forbidden_slots(tdma, ma_delay, first_send, last_send):
+    """The forbidden send slots of compute_forbidden_send_slots as a set."""
+    mask = compute_forbidden_send_slots(tdma, ma_delay, first_send, last_send)
+    assert mask.dtype == bool and len(mask) == last_send - first_send + 1
+    return set((np.flatnonzero(mask) + first_send).tolist())
+
+
 def test_forbidden_slots_shifted_frame():
     # TDMA sends at 0, 5 -> arrivals at 4, 9 -> forbidden sends 3, 8
     tdma = [(TdmaSchedule(5, frozenset({0})), Delay(4))]
-    assert compute_forbidden_send_slots(tdma, Delay(1), 0, 9) == {3, 8}
+    assert forbidden_slots(tdma, Delay(1), 0, 9) == {3, 8}
 
 
 def test_forbidden_slots_no_tdma():
-    assert compute_forbidden_send_slots([], Delay(2), 0, 50) == set()
+    assert forbidden_slots([], Delay(2), 0, 50) == set()
 
 
 def test_forbidden_slots_equal_delays():
     tdma = [(TdmaSchedule(2, frozenset({0})), Delay(3))]
-    assert compute_forbidden_send_slots(tdma, Delay(3), 0, 3) == {0, 2}
+    assert forbidden_slots(tdma, Delay(3), 0, 3) == {0, 2}
 
 
 def test_forbidden_slots_negative_candidates_excluded():
     # ma delay larger than the tdma delay shifts candidates below zero
     tdma = [(TdmaSchedule(4, frozenset({0})), Delay(0))]
-    forbidden = compute_forbidden_send_slots(tdma, Delay(3), 0, 12)
+    forbidden = forbidden_slots(tdma, Delay(3), 0, 12)
     assert forbidden == {1, 5, 9}       # s + 3 = 4k, s >= 0
     assert all(s >= 0 for s in forbidden)
 
@@ -65,13 +73,53 @@ def test_forbidden_slots_negative_candidates_excluded():
 def test_forbidden_slots_multiple_tdma_nodes():
     tdma = [(TdmaSchedule(4, frozenset({0})), Delay(2)),
             (TdmaSchedule(4, frozenset({1})), Delay(0))]
-    forbidden = compute_forbidden_send_slots(tdma, Delay(0), 0, 11)
+    forbidden = forbidden_slots(tdma, Delay(0), 0, 11)
     assert forbidden == {2, 6, 10, 1, 5, 9}
 
 
 def test_forbidden_slots_bad_range():
     with pytest.raises(ContractViolation):
         compute_forbidden_send_slots([], Delay(0), 5, 4)
+
+
+@st.composite
+def tdma_nodes(draw):
+    frame = draw(st.integers(1, 7))
+    assigned = draw(st.one_of(st.just(frozenset()), st.just(frozenset(range(frame))),
+                              st.frozensets(st.integers(0, frame - 1))))
+    return TdmaSchedule(frame, assigned), Delay(draw(st.integers(0, 8)))
+
+
+def forbidden_by_definition(tdma, ma_delay, first_send, last_send):
+    """Send slots s >= 0 whose arrival meets the arrival of a TDMA send t >= 0."""
+    return {s for s in range(max(first_send, 0), last_send + 1)
+            for schedule, delay in tdma
+            for t in [s + ma_delay.slots - delay.slots]
+            if t >= 0 and t % schedule.frame_length in schedule.assigned}
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(tdma=st.lists(tdma_nodes(), max_size=3), ma_delay=st.builds(Delay, st.integers(0, 8)),
+       first_send=st.integers(-5, 5), span=st.integers(0, 60),
+       aloha_q=st.sampled_from([None, 0.2, 0.8]))
+def test_forbidden_mask_matches_definition(tdma, ma_delay, first_send, span, aloha_q):
+    last_send = first_send + span
+    assert forbidden_slots(tdma, ma_delay, first_send, last_send) == \
+        forbidden_by_definition(tdma, ma_delay, first_send, last_send)
+
+    nodes = [NodeSpec(0, ma_delay, ModelAwareRole())]
+    nodes += [NodeSpec(i, delay, TdmaRole(schedule))
+              for i, (schedule, delay) in enumerate(tdma, start=1)]
+    if aloha_q is not None:
+        nodes.append(NodeSpec(len(nodes), Delay(0), AlohaRole(aloha_q)))
+    scn = _scenario(*nodes, horizon=span + 1)
+    policy = build_model_aware_policy(scn, 0)
+    total = scn.total_send_slots
+    expected = forbidden_by_definition(tdma, ma_delay, 0, total - 1)
+    assert [policy.decide(t) is Action.WAIT for t in range(total)] == \
+        [t in expected or policy.default_action is Action.WAIT for t in range(total)]
+    assert policy.decide(-1) is policy.default_action
+    assert policy.decide(total) is policy.default_action
 
 
 def z_value(q):
@@ -98,7 +146,7 @@ def test_build_policy_aloha_transmit_default():
     scn = _scenario(NodeSpec(0, Delay(1), ModelAwareRole()),
                     NodeSpec(1, Delay(0), AlohaRole(0.2)))
     policy = build_model_aware_policy(scn, 0)
-    assert policy.forbidden_send_slots == frozenset()
+    assert policy.forbidden_send_slots.tolist() == []
     assert policy.default_action is Action.TRANSMIT
 
 
@@ -114,7 +162,7 @@ def test_build_policy_tdma_blocks_even_slots():
     policy = build_model_aware_policy(scn, 0)
     assert policy.default_action is Action.TRANSMIT   # empty ALOHA set gives z = 1
     evens = {s for s in range(scn.total_send_slots) if s % 2 == 0}
-    assert policy.forbidden_send_slots == frozenset(evens)
+    assert policy.forbidden_send_slots.tolist() == sorted(evens)
     assert policy.decide(4) is Action.WAIT
     assert policy.decide(5) is Action.TRANSMIT
 
@@ -137,9 +185,9 @@ def test_build_policy_strict_mode_rejects_mixed_delays():
 
 def test_policy_default_must_match_z_sign():
     with pytest.raises(ValidationError):
-        ModelAwarePolicy(frozenset(), Action.WAIT, 0.5)
+        ModelAwarePolicy(np.zeros(0, dtype=bool), Action.WAIT, 0.5)
     with pytest.raises(ValidationError):
-        ModelAwarePolicy(frozenset(), Action.TRANSMIT, -0.5)
+        ModelAwarePolicy(np.zeros(0, dtype=bool), Action.TRANSMIT, -0.5)
 
 
 def test_threshold_consistency():
