@@ -19,7 +19,7 @@ scenario = Scenario(
     seed=1,
 )
 
-policy = build_model_aware_policy(scenario, ma_node=0)
+policy = build_model_aware_policy(scenario)
 forbidden = policy.forbidden_send_slots[:6].tolist()
 print(f"first forbidden send slots: {forbidden} (then every 5th)")
 print(f"default action elsewhere:   {policy.default_action.value} (z = {policy.z_value})")

@@ -1,10 +1,11 @@
-"""Exhaustive certificates for short horizons.
+"""Exact expectations, and exhaustive certificates over short horizons.
 
 Because per-node delays are constant, each model-aware send slot feeds
 exactly one AP slot, so the expected throughput of any binary action sequence
-decomposes into per-slot success probabilities and can be computed exactly.
-Enumerating all 2^H sequences then certifies that the precomputed policy and
-the closed-form optimum really are optimal.
+decomposes into per-slot success probabilities and can be computed exactly in
+O(H), at any horizon. Enumerating all 2^H sequences, which only short
+horizons allow, then certifies that the precomputed policy and the
+closed-form optimum really are optimal.
 """
 from __future__ import annotations
 
@@ -14,17 +15,16 @@ from typing import Sequence
 import numpy as np
 
 from .core import (Action, ContractViolation, Delay, Scenario, ValidationError,
-                   gateway_strict_errors, validate_scenario)
+                   validate_scenario)
 from .oracle import optimal_mixed
 from .policies import build_model_aware_policy
 
-EXACT_HORIZON_LIMIT = 20
 ENUMERATION_HORIZON_LIMIT = 16
 CERTIFICATE_TOLERANCE = 1e-12
 
 
 class HorizonLimitError(ValueError):
-    """Requested horizon is too long to evaluate exhaustively."""
+    """Requested horizon is too long to enumerate all 2^H sequences."""
 
 
 @dataclass(frozen=True)
@@ -35,9 +35,6 @@ class ActionSequence:
 
     def __post_init__(self):
         object.__setattr__(self, "bits", tuple(self.bits))
-        if len(self.bits) > EXACT_HORIZON_LIMIT:
-            raise HorizonLimitError(f"sequence length {len(self.bits)} exceeds "
-                                    f"the exact-evaluation limit {EXACT_HORIZON_LIMIT}")
 
     def __len__(self) -> int:
         return len(self.bits)
@@ -54,13 +51,11 @@ class ActionSequence:
 
 
 def _decision_stream_delay(scenario: Scenario) -> Delay:
-    """Delay of the single model-aware decision stream (node or strict gateway)."""
+    """Delay of the single model-aware decision stream (node or strict-mode
+    gateway, whose members share one delay once strict mode is checked)."""
     group = scenario.model_aware_nodes
     if not group:
         raise ContractViolation("scenario has no model-aware node to enumerate")
-    strict = gateway_strict_errors(scenario)
-    if strict:
-        raise ValidationError(strict)
     return group[0].delay
 
 
@@ -111,9 +106,6 @@ def exact_expected_throughput(seq: ActionSequence, scenario: Scenario) -> float:
     errors = validate_scenario(scenario)
     if errors:
         raise ValidationError(errors)
-    if scenario.horizon > EXACT_HORIZON_LIMIT:
-        raise HorizonLimitError(f"horizon {scenario.horizon} exceeds the "
-                                f"exact-evaluation limit {EXACT_HORIZON_LIMIT}")
     _decision_stream_delay(scenario)
     if len(seq) != scenario.horizon:
         raise ContractViolation(f"sequence length {len(seq)} must equal the "
@@ -158,10 +150,8 @@ def enumerate_optimal(scenario: Scenario,
 def policy_sequence(scenario: Scenario) -> ActionSequence:
     """Action sequence the precomputed model-aware policy plays over the
     measured window."""
-    delay = _decision_stream_delay(scenario)
-    gateway = scenario.model_aware_nodes[0].id
-    policy = build_model_aware_policy(scenario, gateway)
-    first_send = scenario.warmup_slots - delay.slots
+    policy = build_model_aware_policy(scenario)
+    first_send = scenario.warmup_slots - _decision_stream_delay(scenario).slots
     return ActionSequence(tuple(policy.decide(first_send + i)
                                 for i in range(scenario.horizon)))
 

@@ -161,7 +161,9 @@ def load_scenario(path: str, slots: int | None = None, warmup: int | None = None
         doc = json.loads(Path(path).read_text())
     except OSError as exc:
         return None, [f"cannot read {path}: {exc}"]
-    except json.JSONDecodeError as exc:
+    # JSONDecodeError and UnicodeDecodeError are ValueErrors, as is an integer
+    # beyond Python's digit limit; deep nesting overflows the decoder's stack
+    except (ValueError, RecursionError) as exc:
         return None, [f"{path} is not valid JSON: {exc}"]
     scenario, errors = parse_scenario(doc)
     if scenario is not None and not errors:
@@ -338,9 +340,6 @@ def _cmd_verify(args) -> int:
     if errors or scenario is None:
         return _input_error(errors)
     horizon = args.horizon if args.horizon is not None else scenario.horizon
-    if horizon > ENUMERATION_HORIZON_LIMIT:
-        return _input_error([f"verification horizon {horizon} exceeds "
-                             f"{ENUMERATION_HORIZON_LIMIT}; pass --horizon"])
     try:
         cert = certify_policy(scenario, horizon=horizon)
         if args.corrupt_policy:

@@ -46,15 +46,6 @@ class SimReport:
     deviation: float | None = None
 
 
-@dataclass(frozen=True)
-class _ChannelTrace:
-    """Per-measured-slot arrival picture (internal, also used by tests)."""
-
-    counts: np.ndarray
-    arrivals: dict[NodeId, np.ndarray]
-    tdma_counts: np.ndarray
-
-
 def _transmit_masks(scenario: Scenario) -> dict[NodeId, np.ndarray]:
     """Boolean send decision per node per send slot, roles already applied."""
     total = scenario.total_send_slots
@@ -69,7 +60,7 @@ def _transmit_masks(scenario: Scenario) -> dict[NodeId, np.ndarray]:
 
     members = [n.id for n in scenario.model_aware_nodes]
     if members:
-        policy = build_model_aware_policy(scenario, members[0])
+        policy = build_model_aware_policy(scenario)
         if policy.default_action is Action.TRANSMIT:
             decisions = ~policy.forbidden
         else:
@@ -81,7 +72,16 @@ def _transmit_masks(scenario: Scenario) -> dict[NodeId, np.ndarray]:
     return masks
 
 
-def _simulate(scenario: Scenario) -> _ChannelTrace:
+def run(scenario: Scenario) -> SimReport:
+    """Simulate one scenario and report measured throughput.
+
+    Raises ValidationError listing every scenario violation. When at least one
+    model-aware node is present and TDMA arrivals never overlap each other,
+    the matching closed-form optimum is attached along with the deviation.
+    """
+    errors = validate_scenario(scenario)
+    if errors:
+        raise ValidationError(errors)
     masks = _transmit_masks(scenario)
     start, horizon = scenario.warmup_slots, scenario.horizon
     counts = np.zeros(horizon, dtype=np.int32)
@@ -95,28 +95,15 @@ def _simulate(scenario: Scenario) -> _ChannelTrace:
         counts += segment
         if isinstance(node.role, TdmaRole):
             tdma_counts += segment
-    return _ChannelTrace(counts, arrivals, tdma_counts)
 
-
-def run(scenario: Scenario) -> SimReport:
-    """Simulate one scenario and report measured throughput.
-
-    Raises ValidationError listing every scenario violation. When at least one
-    model-aware node is present and TDMA arrivals never overlap each other,
-    the matching closed-form optimum is attached along with the deviation.
-    """
-    errors = validate_scenario(scenario)
-    if errors:
-        raise ValidationError(errors)
-    trace = _simulate(scenario)
-    success_mask = trace.counts == 1
+    success_mask = counts == 1
     successes = int(success_mask.sum())
-    collisions = int((trace.counts >= 2).sum())
-    idle = int((trace.counts == 0).sum())
+    collisions = int((counts >= 2).sum())
+    idle = int((counts == 0).sum())
     per_node = {node_id: int((segment & success_mask).sum())
-                for node_id, segment in trace.arrivals.items()}
-    cross = int((trace.tdma_counts >= 2).sum())
-    empirical = successes / scenario.horizon
+                for node_id, segment in arrivals.items()}
+    cross = int((tdma_counts >= 2).sum())
+    empirical = successes / horizon
 
     oracle = deviation = None
     if scenario.model_aware_nodes and cross == 0:

@@ -9,7 +9,7 @@ simulation engine is checked against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
 
@@ -65,27 +65,24 @@ class Branch(Enum):
 
 @dataclass(frozen=True)
 class OracleResult:
-    """Optimal per-slot network throughput and the branch attaining it."""
+    """Optimal per-slot network throughput and the branch attaining it: the
+    sign of z picks the branch, and z = 0 ties to transmit."""
 
     optimal_throughput: float
-    chosen_branch: Branch
+    chosen_branch: Branch = field(init=False)
     z_value: float
 
     def __post_init__(self):
-        errors = []
         if not 0.0 <= self.optimal_throughput <= 1.0:
-            errors.append(f"throughput must lie in [0, 1], got {self.optimal_throughput}")
-        expected = Branch.TRANSMIT if self.z_value >= 0 else Branch.SILENT
-        if self.chosen_branch is not expected:
-            errors.append(f"branch {self.chosen_branch.value} inconsistent with z = {self.z_value}")
-        if errors:
-            raise ValidationError(errors)
+            raise ValidationError(f"throughput must lie in [0, 1], got {self.optimal_throughput}")
+        object.__setattr__(self, "chosen_branch",
+                           Branch.TRANSMIT if self.z_value >= 0 else Branch.SILENT)
 
 
 def optimal_tdma_only() -> OracleResult:
     """TDMA-only competition: the model-aware side fills every free slot, so
     the network saturates at throughput 1 regardless of delays."""
-    return OracleResult(1.0, Branch.TRANSMIT, 1.0)
+    return OracleResult(1.0, 1.0)
 
 
 def optimal_aloha(q: Sequence[float]) -> OracleResult:
@@ -117,5 +114,5 @@ def optimal_mixed(p: float, q: Sequence[float]) -> OracleResult:
     exactly_one = success_prob_exactly_one(q)
     z = (1.0 - p) * (silent - exactly_one) + 0.0   # +0.0 normalises -0.0 at p == 1
     if z < 0:
-        return OracleResult(p * silent + (1.0 - p) * exactly_one, Branch.SILENT, z)
-    return OracleResult(silent, Branch.TRANSMIT, z)
+        return OracleResult(p * silent + (1.0 - p) * exactly_one, z)
+    return OracleResult(silent, z)

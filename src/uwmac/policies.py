@@ -7,20 +7,19 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (Action, ContractViolation, Delay, ModelAwareRole, NodeId,
-                   Scenario, TdmaSchedule, ValidationError,
-                   gateway_strict_errors)
-from .oracle import optimal_mixed
+from .core import (Action, ContractViolation, Delay, Scenario, TdmaSchedule,
+                   ValidationError, gateway_strict_errors)
+from .oracle import Branch, OracleResult, optimal_mixed
 
 
 def tdma_slot_mask(schedule: TdmaSchedule, shift: int, count: int) -> np.ndarray:
     """Boolean mask over `count` slots: mask[s] is True when the frame offset
     (s + shift) mod frame_length is assigned."""
     frame = schedule.frame_length
-    lut = np.zeros(frame, dtype=bool)
-    lut[list(schedule.assigned)] = True
-    # tile a rolled frame: np.resize would concatenate one copy per frame
-    return np.tile(np.roll(lut, -(shift % frame)), -(-count // frame))[:count]
+    mask = np.zeros(count, dtype=bool)
+    for offset in schedule.assigned:
+        mask[(offset - shift) % frame::frame] = True
+    return mask
 
 
 def compute_forbidden_send_slots(tdma_nodes: Sequence[tuple[TdmaSchedule, Delay]],
@@ -49,22 +48,25 @@ def compute_forbidden_send_slots(tdma_nodes: Sequence[tuple[TdmaSchedule, Delay]
 @dataclass(frozen=True, eq=False)
 class ModelAwarePolicy:
     """Precomputed open-loop policy: wait in forbidden slots, otherwise play
-    the static default decided by the sign of z.
+    the static default of the oracle's branch (the sign of z).
 
     `forbidden` is a read-only boolean mask indexed by send slot 0, 1, ...;
     slots beyond it play the default.
     """
 
     forbidden: np.ndarray
-    default_action: Action
-    z_value: float
+    oracle: OracleResult
 
     def __post_init__(self):
-        expected = Action.TRANSMIT if self.z_value >= 0 else Action.WAIT
-        if self.default_action is not expected:
-            raise ValidationError(f"default action {self.default_action.value} "
-                                  f"inconsistent with z = {self.z_value}")
         self.forbidden.flags.writeable = False
+
+    @property
+    def z_value(self) -> float:
+        return self.oracle.z_value
+
+    @property
+    def default_action(self) -> Action:
+        return Action.TRANSMIT if self.oracle.chosen_branch is Branch.TRANSMIT else Action.WAIT
 
     @property
     def forbidden_send_slots(self) -> np.ndarray:
@@ -77,24 +79,23 @@ class ModelAwarePolicy:
         return self.default_action
 
 
-def build_model_aware_policy(scenario: Scenario, ma_node: NodeId) -> ModelAwarePolicy:
-    """Assemble the optimal policy for a model-aware node (or gateway group).
+def build_model_aware_policy(scenario: Scenario) -> ModelAwarePolicy:
+    """Assemble the optimal policy of the scenario's model-aware decision
+    stream: its single model-aware node, or its strict-mode gateway group,
+    whose members share one delay.
 
-    The node is assumed to know every delay and every other node's strategy:
+    The stream is assumed to know every delay and every other node's strategy:
     forbidden slots come from all TDMA schedules shifted into its own send
     clock, the default action from the sign of z over all ALOHA probabilities.
     """
-    by_id = {n.id: n for n in scenario.nodes}
-    node = by_id.get(ma_node)
-    if node is None or not isinstance(node.role, ModelAwareRole):
-        raise ContractViolation(f"node {ma_node} is not model-aware")
+    group = scenario.model_aware_nodes
+    if not group:
+        raise ContractViolation("scenario has no model-aware node")
     strict = gateway_strict_errors(scenario)
     if strict:
         raise ValidationError(strict)
     tdma = [(n.role.schedule, n.delay) for n in scenario.tdma_nodes]
-    forbidden = compute_forbidden_send_slots(tdma, node.delay, 0,
+    forbidden = compute_forbidden_send_slots(tdma, group[0].delay, 0,
                                              scenario.total_send_slots - 1)
     # forbidden slots already dodge every TDMA arrival, so the default faces ALOHA only
-    z = optimal_mixed(0.0, scenario.aloha_probs).z_value
-    default = Action.TRANSMIT if z >= 0 else Action.WAIT
-    return ModelAwarePolicy(forbidden, default, z)
+    return ModelAwarePolicy(forbidden, optimal_mixed(0.0, scenario.aloha_probs))

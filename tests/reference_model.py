@@ -148,7 +148,7 @@ def reference_run(scenario: Scenario):
     ledger = ArrivalLedger()
     delays = {n.id: n.delay for n in scenario.nodes}
     members = tuple(n.id for n in scenario.model_aware_nodes)
-    policy = build_model_aware_policy(scenario, members[0]) if members else None
+    policy = build_model_aware_policy(scenario) if members else None
     roster = GatewayRoster(members) if members else None
     rngs = {n.id: node_rng(scenario.seed, n.id) for n in scenario.aloha_nodes}
 

@@ -1,9 +1,15 @@
 import csv
 import json
+from pathlib import Path
 
 import pytest
 
 from uwmac.cli import CSV_COLUMNS, main, parse_scenario
+
+ROOT = Path(__file__).resolve().parent.parent
+# stdout and exit code of run and verify on every demos/scenarios file;
+# regenerate with tests/golden/make_golden.py only when output should change
+GOLDEN_CLI = json.loads((ROOT / "tests" / "golden" / "cli.json").read_text())
 
 SINGLE_ALOHA = {
     "nodes": [
@@ -110,6 +116,29 @@ def test_run_invalid_json_exits_2(tmp_path, capsys):
     path.write_text("{not json")
     assert main(["run", "--scenario", str(path)]) == 2
     assert "not valid JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", [
+    '{"seed": ' + "7" * 5000 + "}",   # beyond Python's int digit limit
+    b'{"seed": "\xff"}',              # not UTF-8
+    "[" * 200_000,                    # deeper than the decoder's stack
+], ids=["huge-int", "bad-utf8", "deep-nesting"])
+def test_undecodable_json_is_an_input_error(tmp_path, capsys, content):
+    path = tmp_path / "bad.json"
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
+    assert main(["run", "--scenario", str(path)]) == 2
+    assert "is not valid JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_CLI))
+def test_stdout_matches_golden(monkeypatch, capsys, case):
+    golden = GOLDEN_CLI[case]
+    monkeypatch.chdir(ROOT)
+    assert main(golden["argv"]) == golden["exit_code"]
+    assert capsys.readouterr().out == golden["stdout"]
 
 
 def test_run_comparison_failure_exits_1(tmp_path, capsys):

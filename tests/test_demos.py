@@ -1,4 +1,5 @@
-"""Every demo script runs to completion against the package sources."""
+"""Every demo script runs to completion against the package sources and
+prints its golden stdout."""
 import os
 import subprocess
 import sys
@@ -20,6 +21,9 @@ def _run_demo(script):
 def test_demo_exits_0(script):
     result = _run_demo(script)
     assert result.returncode == 0, result.stderr
+    # regenerate with tests/golden/make_golden.py only when output should change
+    golden = ROOT / "tests" / "golden" / "demos" / f"{script.stem}.txt"
+    assert result.stdout == golden.read_text()
 
 
 def test_tdma_coexistence_prints_plain_slot_numbers():

@@ -199,7 +199,7 @@ def test_compare_to_oracle(empirical, oracle_value, tolerance, passed):
                        empirical_throughput=empirical, warmup_slots=0,
                        tdma_cross_collisions=0)
     oracle = optimal_aloha([1.0 - oracle_value]) if oracle_value != 1.0 \
-        else OracleResult(1.0, Branch.TRANSMIT, 1.0)
+        else OracleResult(1.0, 1.0)
     result = compare_to_oracle(report, oracle, tolerance)
     assert result.passed is passed
     assert result.deviation == pytest.approx(abs(empirical - oracle_value), abs=1e-12)

@@ -179,8 +179,12 @@ def test_throughputs_stay_in_unit_interval():
 
 def test_oracle_result_invariants():
     with pytest.raises(ValidationError):
-        OracleResult(1.5, Branch.TRANSMIT, 1.0)
+        OracleResult(1.5, 1.0)
     with pytest.raises(ValidationError):
-        OracleResult(0.5, Branch.SILENT, 0.1)
-    with pytest.raises(ValidationError):
-        OracleResult(0.5, Branch.TRANSMIT, -0.1)
+        OracleResult(-0.1, 1.0)
+
+
+def test_oracle_result_branch_follows_z_sign():
+    assert OracleResult(0.5, -0.1).chosen_branch is Branch.SILENT
+    assert OracleResult(0.5, 0.1).chosen_branch is Branch.TRANSMIT
+    assert OracleResult(0.5, 0.0).chosen_branch is Branch.TRANSMIT   # z = 0 ties to transmit

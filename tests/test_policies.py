@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +11,7 @@ from reference_model import (GatewayRoster, aloha_decide, gateway_select,
                              tdma_decide)
 from uwmac.oracle import optimal_aloha
 from uwmac.policies import (ModelAwarePolicy, build_model_aware_policy,
-                            compute_forbidden_send_slots)
+                            compute_forbidden_send_slots, tdma_slot_mask)
 
 
 @pytest.mark.parametrize("frame,assigned,t,expected", [
@@ -82,6 +84,18 @@ def test_forbidden_slots_bad_range():
         compute_forbidden_send_slots([], Delay(0), 5, 4)
 
 
+def test_tdma_slot_mask_memory_does_not_grow_with_the_frame():
+    schedule = TdmaSchedule(10**7, frozenset({0}))
+    tracemalloc.start()
+    try:
+        mask = tdma_slot_mask(schedule, 3, 100)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert len(mask) == 100 and not mask.any()   # offset 0 first recurs at slot 10**7 - 3
+
+
 @st.composite
 def tdma_nodes(draw):
     frame = draw(st.integers(1, 7))
@@ -113,7 +127,7 @@ def test_forbidden_mask_matches_definition(tdma, ma_delay, first_send, span, alo
     if aloha_q is not None:
         nodes.append(NodeSpec(len(nodes), Delay(0), AlohaRole(aloha_q)))
     scn = _scenario(*nodes, horizon=span + 1)
-    policy = build_model_aware_policy(scn, 0)
+    policy = build_model_aware_policy(scn)
     total = scn.total_send_slots
     expected = forbidden_by_definition(tdma, ma_delay, 0, total - 1)
     assert [policy.decide(t) is Action.WAIT for t in range(total)] == \
@@ -145,7 +159,7 @@ def _scenario(*nodes, horizon=40, seed=3):
 def test_build_policy_aloha_transmit_default():
     scn = _scenario(NodeSpec(0, Delay(1), ModelAwareRole()),
                     NodeSpec(1, Delay(0), AlohaRole(0.2)))
-    policy = build_model_aware_policy(scn, 0)
+    policy = build_model_aware_policy(scn)
     assert policy.forbidden_send_slots.tolist() == []
     assert policy.default_action is Action.TRANSMIT
 
@@ -153,13 +167,13 @@ def test_build_policy_aloha_transmit_default():
 def test_build_policy_aloha_silent_default():
     scn = _scenario(NodeSpec(0, Delay(1), ModelAwareRole()),
                     NodeSpec(1, Delay(0), AlohaRole(0.8)))
-    assert build_model_aware_policy(scn, 0).default_action is Action.WAIT
+    assert build_model_aware_policy(scn).default_action is Action.WAIT
 
 
 def test_build_policy_tdma_blocks_even_slots():
     scn = _scenario(NodeSpec(0, Delay(0), ModelAwareRole()),
                     NodeSpec(1, Delay(0), TdmaRole(TdmaSchedule(2, frozenset({0})))))
-    policy = build_model_aware_policy(scn, 0)
+    policy = build_model_aware_policy(scn)
     assert policy.default_action is Action.TRANSMIT   # empty ALOHA set gives z = 1
     evens = {s for s in range(scn.total_send_slots) if s % 2 == 0}
     assert policy.forbidden_send_slots.tolist() == sorted(evens)
@@ -168,33 +182,35 @@ def test_build_policy_tdma_blocks_even_slots():
 
 
 def test_build_policy_rejects_non_model_aware_node():
-    scn = _scenario(NodeSpec(0, Delay(1), ModelAwareRole()),
-                    NodeSpec(1, Delay(0), AlohaRole(0.2)))
+    # the policy belongs to the scenario's model-aware stream; without one there is none
+    aloha_only = _scenario(NodeSpec(0, Delay(0), AlohaRole(0.2)))
     with pytest.raises(ContractViolation):
-        build_model_aware_policy(scn, 1)
+        build_model_aware_policy(aloha_only)
+    tdma_only = _scenario(NodeSpec(0, Delay(0), TdmaRole(TdmaSchedule(2, frozenset({0})))))
     with pytest.raises(ContractViolation):
-        build_model_aware_policy(scn, 99)
+        build_model_aware_policy(tdma_only)
+
+
+def test_policy_default_follows_oracle_branch():
+    forbidden = np.zeros(0, dtype=bool)
+    heavy = ModelAwarePolicy(forbidden, optimal_aloha([0.8]))
+    assert heavy.default_action is Action.WAIT and heavy.z_value < 0
+    light = ModelAwarePolicy(forbidden, optimal_aloha([0.2]))
+    assert light.default_action is Action.TRANSMIT and light.z_value > 0
 
 
 def test_build_policy_strict_mode_rejects_mixed_delays():
     scn = _scenario(NodeSpec(0, Delay(1), ModelAwareRole()),
                     NodeSpec(1, Delay(2), ModelAwareRole()))
     with pytest.raises(ValidationError):
-        build_model_aware_policy(scn, 0)
-
-
-def test_policy_default_must_match_z_sign():
-    with pytest.raises(ValidationError):
-        ModelAwarePolicy(np.zeros(0, dtype=bool), Action.WAIT, 0.5)
-    with pytest.raises(ValidationError):
-        ModelAwarePolicy(np.zeros(0, dtype=bool), Action.TRANSMIT, -0.5)
+        build_model_aware_policy(scn)
 
 
 def test_threshold_consistency():
     for q in np.linspace(0, 1, 41):
         scn = _scenario(NodeSpec(0, Delay(0), ModelAwareRole()),
                         NodeSpec(1, Delay(0), AlohaRole(float(q))))
-        default = build_model_aware_policy(scn, 0).default_action
+        default = build_model_aware_policy(scn).default_action
         assert (default is Action.WAIT) == (q > 0.5)
 
 

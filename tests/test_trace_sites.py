@@ -35,6 +35,6 @@ def test_forbidden_slot_count_is_the_length_of_the_policy_set():
     scenario = Scenario((NodeSpec(0, Delay(1), ModelAwareRole()),
                          NodeSpec(1, Delay(4), TdmaRole(TdmaSchedule(5, frozenset({0}))))),
                         horizon=20)
-    policy = build_model_aware_policy(scenario, 0)
+    policy = build_model_aware_policy(scenario)
     expected = [s for s in range(scenario.total_send_slots) if s % 5 == 3]
     assert len(policy.forbidden_send_slots) == len(expected) == 6
