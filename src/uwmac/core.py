@@ -162,7 +162,7 @@ class Scenario:
 
     @property
     def tdma_frame_ratio(self) -> float:
-        """Total fraction of frame slots used by TDMA nodes (assumes no overlap)."""
+        """Sum of the TDMA schedule ratios; describes the schedules only (may exceed 1)."""
         return sum(n.role.schedule.ratio for n in self.tdma_nodes)
 
 

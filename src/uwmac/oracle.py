@@ -1,10 +1,10 @@
 """Closed-form expected and optimal slot throughputs.
 
-Against N independent slotted-ALOHA senders with probabilities q_i and a TDMA
-side occupying a fraction p of frame slots, the expected per-slot throughput
-when the model-aware side transmits with probability b is affine in b, so the
-optimum sits at b = 0 or b = 1. These formulas are the ground truth the
-simulation engine is checked against.
+Against N independent slotted-ALOHA senders with probabilities q_i and TDMA
+arrivals landing alone in a fraction p of the AP slots, the expected per-slot
+throughput when the model-aware side transmits with probability b is affine
+in b, so the optimum sits at b = 0 or b = 1. These formulas are the ground
+truth the simulation engine is checked against.
 """
 from __future__ import annotations
 
@@ -98,21 +98,23 @@ def optimal_aloha(q: Sequence[float]) -> OracleResult:
 
 
 def expected_mixed_throughput(b: float, p: float, q: Sequence[float]) -> float:
-    """F(b) = p * prod(1 - q_i) + (1 - p) * f(b) with p the TDMA frame ratio."""
+    """F(b) = p * prod(1 - q_i) + (1 - p) * f(b) with p the TDMA share of slots."""
     _check_unit("p", p)
     return p * prob_all_silent(q) + (1.0 - p) * expected_slot_throughput(b, q)
 
 
-def optimal_mixed(p: float, q: Sequence[float]) -> OracleResult:
-    """Optimal throughput with a TDMA side using a fraction p of frame slots.
-
-    dF/db = (1 - p) * z never flips sign versus the ALOHA-only z; at p = 1 it
-    degenerates to 0 and routes to the transmit branch, where F is constant.
+def optimal_mixed(p: float, q: Sequence[float], blocked: float = 0.0) -> OracleResult:
+    """Optimal throughput when a fraction p of the AP slots sees exactly one
+    TDMA arrival and a fraction `blocked` several: wait on every arrival and
+    play the sign of z in the free rest, for p * P0 + free * max(P0, P1).
+    With no free slot z is 0, which routes to the transmit branch.
     """
-    _check_unit("p", p)
+    for name, value in (("p", p), ("blocked", blocked), ("p + blocked", p + blocked)):
+        _check_unit(name, value)
     silent = prob_all_silent(q)
     exactly_one = success_prob_exactly_one(q)
-    z = (1.0 - p) * (silent - exactly_one) + 0.0   # +0.0 normalises -0.0 at p == 1
+    free = (1.0 - p) - blocked
+    z = free * (silent - exactly_one) + 0.0   # +0.0 normalises -0.0 when free == 0
     if z < 0:
-        return OracleResult(p * silent + (1.0 - p) * exactly_one, z)
-    return OracleResult(silent, z)
+        return OracleResult(p * silent + free * exactly_one, z)
+    return OracleResult((1.0 - blocked) * silent, z)

@@ -18,7 +18,8 @@ def tdma_slot_mask(schedule: TdmaSchedule, shift: int, count: int) -> np.ndarray
     frame = schedule.frame_length
     mask = np.zeros(count, dtype=bool)
     for offset in schedule.assigned:
-        mask[(offset - shift) % frame::frame] = True
+        if (first := (offset - shift) % frame) < count:
+            mask[first::frame] = True
     return mask
 
 

@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from uwmac.bruteforce import (ActionSequence, HorizonLimitError, certify_policy,
                               enumerate_optimal, exact_expected_throughput,
@@ -8,6 +9,7 @@ from uwmac.bruteforce import (ActionSequence, HorizonLimitError, certify_policy,
 from uwmac.core import (Action, AlohaRole, ContractViolation, Delay,
                         ModelAwareRole, NodeSpec, Scenario, TdmaRole,
                         TdmaSchedule)
+from uwmac.engine import run
 from uwmac.oracle import optimal_mixed
 
 T, W = Action.TRANSMIT, Action.WAIT
@@ -185,10 +187,15 @@ def test_certificate_three_way_match():
     assert cert.tdma_window_fraction == pytest.approx(0.2, abs=1e-15)
 
 
-def test_certificate_rejects_overlapping_tdma():
+def test_certificate_covers_overlapping_tdma():
+    # both TDMA arrivals land on every even AP slot, so half the window is blocked
     scn = _scenario(_ma(0, 0), _tdma(1, 0, 2, {0}), _tdma(2, 0, 2, {0}), horizon=6)
-    with pytest.raises(Exception):
-        certify_policy(scn)
+    cert = certify_policy(scn)
+    assert cert.matches and cert.max_deviation == 0.0
+    assert cert.best_value == cert.policy_value == cert.oracle_value == 0.5
+    assert (cert.tdma_window_fraction, cert.tdma_window_blocked) == (0.0, 0.5)
+    assert optimal_mixed(cert.tdma_window_fraction, scn.aloha_probs,
+                         cert.tdma_window_blocked).optimal_throughput == cert.oracle_value
 
 
 def test_gateway_group_counts_as_one_decision_stream():
@@ -218,3 +225,41 @@ def test_certificate_with_forty_aloha_nodes():
     assert cert.matches
     assert cert.best_value == pytest.approx(
         optimal_mixed(0.25, q).optimal_throughput, abs=1e-12)
+
+
+@st.composite
+def small_scenarios(draw):
+    """H <= 12: one model-aware node or a gateway of up to three members, up to
+    three TDMA nodes whose arrivals may overlap, and up to three ALOHA nodes."""
+    ma_delay = draw(st.integers(0, 5))
+    roles = [(ModelAwareRole(), ma_delay)] * draw(st.integers(1, 3))
+    for _ in range(draw(st.integers(0, 3))):
+        frame = draw(st.integers(1, 6))
+        assigned = draw(st.frozensets(st.integers(0, frame - 1)))
+        roles.append((TdmaRole(TdmaSchedule(frame, assigned)), draw(st.integers(0, 5))))
+    for _ in range(draw(st.integers(0, 3))):
+        q = draw(st.sampled_from([0.0, 0.3, 0.5, 1.0]) | st.floats(0.0, 1.0))
+        roles.append((AlohaRole(q), draw(st.integers(0, 5))))
+    ids = draw(st.permutations(range(len(roles))))
+    nodes = tuple(NodeSpec(i, Delay(d), role) for i, (role, d) in zip(ids, roles))
+    max_delay = max(d for _, d in roles)
+    warmup = draw(st.none() | st.integers(max_delay, max_delay + 6))
+    return Scenario(nodes, draw(st.integers(1, 12)), warmup, draw(st.integers(0, 2**32)))
+
+
+def test_three_routes_agree_on_generated_scenarios():
+    seen = []
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(small_scenarios())
+    def check(scn):
+        cert = certify_policy(scn)
+        assert abs(cert.best_value - cert.policy_value) <= 1e-12
+        assert abs(cert.best_value - cert.oracle_value) <= 1e-12
+        assert run(scn).oracle.optimal_throughput == cert.oracle_value
+        seen.append((cert.tdma_window_blocked > 0, len(scn.model_aware_nodes) > 1))
+
+    check()
+    # the generated set really holds overlapping windows and gateways
+    assert sum(overlap for overlap, _ in seen) >= 20
+    assert sum(gateway for _, gateway in seen) >= 20

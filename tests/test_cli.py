@@ -1,8 +1,11 @@
+import contextlib
 import csv
+import io
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from uwmac.cli import CSV_COLUMNS, main, parse_scenario
 
@@ -36,6 +39,22 @@ TDMA_OVERLAP = {
         {"id": 2, "delay_slots": 0, "role": {"tdma": {"frame_length": 2, "assigned": [0]}}},
     ],
     "horizon": 1000,
+    "seed": 7,
+}
+
+
+# the schedule ratios sum to 1.2, yet in the measured AP slots 6 and 7 only
+# node 2's arrivals land (node 1 sends offsets 6 and 7, which are unassigned)
+OVERFULL_TDMA = {
+    "nodes": [
+        {"id": 0, "delay_slots": 0, "role": {"model_aware": {}}},
+        {"id": 1, "delay_slots": 0,
+         "role": {"tdma": {"frame_length": 10, "assigned": [0, 1, 2, 3, 4, 5]}}},
+        {"id": 2, "delay_slots": 6,
+         "role": {"tdma": {"frame_length": 10, "assigned": [0, 1, 2, 3, 4, 5]}}},
+    ],
+    "horizon": 2,
+    "warmup": 6,
     "seed": 7,
 }
 
@@ -225,12 +244,35 @@ def test_run_tdma_overlap_warns_and_exits_0(tmp_path, capsys):
     out = tmp_path / "overlap.csv"
     assert main(["run", "--scenario", path, "--out", str(out)]) == 0
     captured = capsys.readouterr()
-    assert "overlapping TDMA arrivals" in captured.err
-    assert "not applicable" in captured.out
+    assert "500 AP slots saw overlapping TDMA arrivals" in captured.err
+    assert "not applicable" not in captured.err + captured.out
+    assert "oracle optimal: 0.5 (transmit branch" in captured.out
     row = _read_csv(out)[0]
-    assert row["status"] == "oracle-na"
-    assert row["oracle"] == "" and row["pass"] == ""
+    assert row["status"] == "ok"
+    assert (row["oracle"], row["deviation"], row["pass"]) == ("0.5", "0.0", "true")
     assert row["tdma_cross_collisions"] == "500"
+    assert main(["verify", "--scenario", path, "--horizon", "12"]) == 0
+    assert "certificate: MATCH" in capsys.readouterr().out
+
+
+def test_run_overfull_tdma_schedules_attach_an_oracle(tmp_path, capsys):
+    path = _write(tmp_path, "overfull.json", OVERFULL_TDMA)
+    out = tmp_path / "overfull.csv"
+    assert main(["run", "--scenario", path, "--out", str(out)]) == 0
+    stdout = capsys.readouterr().out
+    assert "oracle optimal: 1.0 (transmit branch" in stdout
+    row = _read_csv(out)[0]
+    assert (row["status"], row["oracle"], row["deviation"]) == ("ok", "1.0", "0.0")
+
+
+def test_sweep_overfull_tdma_schedules_rows_ok(tmp_path):
+    path = _write(tmp_path, "overfull.json", OVERFULL_TDMA)
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--scenario", path, "--sweep", "seed=1,2,3",
+                 "--out", str(out)]) == 0
+    rows = _read_csv(out)
+    assert [row["status"] for row in rows] == ["ok"] * 3
+    assert [row["oracle"] for row in rows] == ["1.0"] * 3
 
 
 def test_run_overrides(tmp_path, capsys):
@@ -348,6 +390,14 @@ def test_verify_horizon_too_large_exits_2(tmp_path, capsys):
     assert "exceeds" in capsys.readouterr().err
 
 
+def test_verify_long_scenario_horizon_names_the_option(tmp_path, capsys):
+    path = _write(tmp_path, "pure_tdma.json", PURE_TDMA)
+    assert main(["verify", "--scenario", path]) == 2
+    err = capsys.readouterr().err
+    assert "horizon 10000 exceeds the enumeration limit 16" in err
+    assert "--horizon" in err
+
+
 def test_verify_uses_scenario_horizon_when_small(tmp_path):
     path = _write(tmp_path, "single_aloha.json", {**SINGLE_ALOHA, "horizon": 6})
     assert main(["verify", "--scenario", path]) == 0
@@ -384,3 +434,69 @@ def test_parse_scenario_cross_field_validation():
     })
     assert any("dense" in e for e in errors)
     assert any("warmup" in e for e in errors)
+
+
+# a valid scenario with every field kind: model-aware, TDMA and a geometry ALOHA node
+MUTABLE = {
+    "nodes": [
+        {"id": 0, "delay_slots": 1, "role": {"model_aware": {"gateway_member": True}}},
+        {"id": 1, "delay_slots": 2, "role": {"tdma": {"frame_length": 4, "assigned": [0, 1]}}},
+        {"id": 2, "geometry": {"distance_m": 1500.0, "sound_speed_mps": 1500.0,
+                               "slot_duration_s": 0.5},
+         "role": {"aloha": {"q": 0.3}}},
+    ],
+    "horizon": 40,
+    "warmup": 3,
+    "seed": 11,
+}
+DELETE = object()
+WRONG_TYPES = [None, True, "7", 1.5, [], {}, DELETE]
+# range mutations stay small, so a value that is valid after all costs little to run
+BAD_VALUES = {
+    ("horizon",): [-1, 0, 1],
+    ("warmup",): [-1, 0, 2],
+    ("seed",): [-1, 2**64, 0],
+    ("nodes",): [[]],
+    ("nodes", 0, "id"): [-1, 1, 3],
+    ("nodes", 0, "delay_slots"): [-1, 0, 4],
+    ("nodes", 0, "role"): [{"csma": {}}, {"tdma": {}, "aloha": {}}],
+    ("nodes", 0, "role", "model_aware", "gateway_member"): [1, False],
+    ("nodes", 1, "role", "tdma", "frame_length"): [0, -1, 1],
+    ("nodes", 1, "role", "tdma", "assigned"): [[4], [-1], [True], [0.5]],
+    ("nodes", 2, "geometry", "distance_m"): [-1.0, 0.0, float("nan"), float("inf"), 1e6],
+    ("nodes", 2, "geometry", "sound_speed_mps"): [0.0, float("-inf"), 1e-300],
+    ("nodes", 2, "geometry", "slot_duration_s"): [-0.5, float("nan"), 1e300],
+    ("nodes", 2, "role", "aloha", "q"): [-0.1, 1.5, float("nan"), 1],
+}
+
+
+@st.composite
+def mutated_scenarios(draw):
+    path = draw(st.sampled_from(sorted(BAD_VALUES, key=repr)))
+    value = draw(st.sampled_from(BAD_VALUES[path] + WRONG_TYPES))
+    doc = json.loads(json.dumps(MUTABLE))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+def test_malformed_scenarios_never_raise(tmp_path_factory):
+    path = tmp_path_factory.mktemp("mutated") / "scenario.json"
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(mutated_scenarios())
+    def check(doc):
+        path.write_text(json.dumps(doc))
+        _, errors = parse_scenario(json.loads(path.read_text()))
+        code = main(["run", "--scenario", str(path)])
+        assert code in (0, 1, 2)
+        if errors:
+            assert code == 2
+
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        check()

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reference_model import reference_run
+from uwmac.bruteforce import certify_policy
 from uwmac.core import (AlohaRole, ContractViolation, Delay, ModelAwareRole,
                         NodeSpec, Scenario, TdmaRole, TdmaSchedule,
                         ValidationError)
@@ -173,12 +174,17 @@ def test_run_validates_scenario():
     assert len(info.value.errors) >= 3
 
 
-def test_tdma_overlap_flagged_and_oracle_dropped():
+def test_tdma_overlap_flagged_and_oracle_attached():
+    # even AP slots carry both TDMA arrivals (blocked), odd ones are free
     scenario = Scenario((_ma(0, 0), _tdma(1, 0, 2, {0}), _tdma(2, 0, 2, {0})),
                         horizon=1_000, seed=4)
     report = run(scenario)
     assert report.tdma_cross_collisions == 500
-    assert report.oracle is None and report.deviation is None
+    assert report.oracle.optimal_throughput == 0.5
+    assert report.oracle.chosen_branch is Branch.TRANSMIT
+    assert report.deviation == 0.0
+    cert = certify_policy(dataclasses.replace(scenario, horizon=12))
+    assert cert.matches and cert.oracle_value == 0.5
 
 
 def test_warmup_convention_recorded():

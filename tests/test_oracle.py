@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from uwmac.oracle import (Branch, OracleResult, ValidationError,
                           expected_mixed_throughput, expected_slot_throughput,
@@ -148,6 +149,48 @@ def test_optimal_mixed_p_one_routes_to_transmit_branch():
     assert result.chosen_branch is Branch.TRANSMIT
     assert result.z_value == 0.0
     assert result.optimal_throughput == pytest.approx(0.1, abs=1e-15)
+
+
+def test_optimal_mixed_with_blocked_slots():
+    # nobody succeeds in a blocked slot; the free rest plays the sign of z
+    assert optimal_mixed(0.0, [], 0.5).optimal_throughput == 0.5
+    silent = optimal_mixed(0.25, [0.6], 0.25)
+    assert silent.chosen_branch is Branch.SILENT
+    assert silent.optimal_throughput == pytest.approx(0.25 * 0.4 + 0.5 * 0.6, abs=1e-15)
+    transmit = optimal_mixed(0.25, [0.2], 0.25)
+    assert transmit.chosen_branch is Branch.TRANSMIT
+    assert transmit.optimal_throughput == pytest.approx(0.75 * 0.8, abs=1e-15)
+    full = optimal_mixed(0.5, [0.9], 0.5)   # no free slot: z = 0 ties to transmit
+    assert full.z_value == 0.0 and full.chosen_branch is Branch.TRANSMIT
+    for p, blocked in ((-0.1, 0.0), (0.0, -0.1), (0.0, 1.5), (0.6, 0.6)):
+        with pytest.raises(ValidationError):
+            optimal_mixed(p, [0.3], blocked)
+
+
+def test_optimal_mixed_without_blocked_slots_keeps_the_frame_formula():
+    # blocked = 0 must reproduce the formula without a blocked share bit for bit
+    rng = np.random.default_rng(43)
+    for _ in range(2000):
+        q = list(rng.random(int(rng.integers(0, 6))))
+        p = float(rng.random()) if rng.random() < 0.9 else float(rng.integers(0, 2))
+        silent, one = prob_all_silent(q), success_prob_exactly_one(q)
+        z = (1.0 - p) * (silent - one) + 0.0
+        value = p * silent + (1.0 - p) * one if z < 0 else silent
+        result = optimal_mixed(p, q)
+        assert (result.optimal_throughput, result.z_value) == (value, z)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(q=st.lists(st.floats(0.0, 1.0), max_size=6), horizon=st.integers(1, 12),
+       data=st.data())
+def test_optimal_mixed_ignores_the_order_of_q(q, horizon, data):
+    single = data.draw(st.integers(0, horizon))
+    blocked = data.draw(st.integers(0, horizon - single))
+    permuted = data.draw(st.permutations(q))
+    a = optimal_mixed(single / horizon, q, blocked / horizon)
+    b = optimal_mixed(single / horizon, permuted, blocked / horizon)
+    assert abs(a.optimal_throughput - b.optimal_throughput) <= 1e-12
+    assert a.chosen_branch is b.chosen_branch
 
 
 def test_endpoint_optimality_random():

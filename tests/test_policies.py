@@ -94,6 +94,10 @@ def test_tdma_slot_mask_memory_does_not_grow_with_the_frame():
         tracemalloc.stop()
     assert peak < 1 << 20
     assert len(mask) == 100 and not mask.any()   # offset 0 first recurs at slot 10**7 - 3
+    # offsets whose first slot lies at or past the mask's end set nothing
+    schedule = TdmaSchedule(10**7, frozenset({0, 5, 99, 100, 5_000, 10**7 - 1}))
+    assert np.flatnonzero(tdma_slot_mask(schedule, 0, 100)).tolist() == [0, 5, 99]
+    assert np.flatnonzero(tdma_slot_mask(schedule, 3, 100)).tolist() == [2, 96, 97]
 
 
 @st.composite
