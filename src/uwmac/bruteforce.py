@@ -148,8 +148,8 @@ def policy_sequence(scenario: Scenario) -> ActionSequence:
     measured window."""
     policy = build_model_aware_policy(scenario)
     first_send = scenario.warmup_slots - _decision_stream_delay(scenario).slots
-    return ActionSequence(tuple(policy.decide(first_send + i)
-                                for i in range(scenario.horizon)))
+    transmit = policy.transmit_mask(first_send, scenario.horizon)
+    return ActionSequence(tuple(Action.TRANSMIT if t else Action.WAIT for t in transmit))
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Union
+
+import numpy as np
 
 NodeId = int
 
@@ -68,6 +71,15 @@ class TdmaSchedule:
     def ratio(self) -> float:
         """Fraction of frame slots this schedule uses."""
         return len(self.assigned) / self.frame_length
+
+    @cached_property
+    def sorted_offsets(self) -> np.ndarray:
+        """The assigned offsets as a sorted read-only array, built on first use:
+        int64, or Python ints for a frame too long for int64."""
+        dtype = np.int64 if self.frame_length <= np.iinfo(np.int64).max else object
+        offsets = np.sort(np.fromiter(self.assigned, dtype, len(self.assigned)))
+        offsets.flags.writeable = False
+        return offsets
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,15 @@ One run is a pure function of (scenario, seed): every node gets an
 independent RNG substream keyed by (seed, node id), so adding a node never
 perturbs the draws of the others. Metrics count AP slots in
 [warmup, warmup + horizon); throughput is successes / measured slots.
+
+`run` walks that window in blocks of BLOCK_SLOTS AP slots. Each measured AP
+slot hears each node's send from exactly one earlier slot, so a block only
+needs every node's sends over one block-long range: TDMA sends from the
+schedule, ALOHA sends from the node's generator (its unmeasured draws skipped
+with `advance`), model-aware sends from the policy's range query. Memory is
+O(BLOCK_SLOTS x nodes), whatever the horizon and warm-up; time is O(horizon),
+plus O(warm-up) for a gateway of several members in the transmit branch,
+whose round-robin turn is counted over the warm-up's decisions.
 """
 from __future__ import annotations
 
@@ -17,7 +26,10 @@ import numpy as np
 from .core import (Action, AlohaRole, ContractViolation, NodeId, Scenario,
                    TdmaRole, TdmaSchedule, ValidationError, validate_scenario)
 from .oracle import OracleResult, optimal_mixed
-from .policies import build_model_aware_policy, tdma_slot_mask
+from .policies import ModelAwarePolicy, build_model_aware_policy, tdma_slot_mask
+
+
+BLOCK_SLOTS = 1 << 16
 
 
 def node_rng(seed: int, node_id: NodeId) -> np.random.Generator:
@@ -46,30 +58,27 @@ class SimReport:
     deviation: float | None = None
 
 
-def _transmit_masks(scenario: Scenario) -> dict[NodeId, np.ndarray]:
-    """Boolean send decision per node per send slot, roles already applied."""
-    total = scenario.total_send_slots
-    masks: dict[NodeId, np.ndarray] = {}
-    for node in scenario.nodes:
-        if isinstance(node.role, TdmaRole):
-            masks[node.id] = tdma_slot_mask(node.role.schedule, 0, total)
-        elif isinstance(node.role, AlohaRole):
-            masks[node.id] = node_rng(scenario.seed, node.id).random(total) < node.role.q
-        else:
-            masks[node.id] = np.zeros(total, dtype=bool)
+def _transmit_decisions_before(policy: ModelAwarePolicy, first_send: int) -> int:
+    """Transmit decisions of the policy in send slots 0 .. first_send - 1,
+    counted block by block."""
+    return sum(int(np.count_nonzero(policy.transmit_mask(s, min(BLOCK_SLOTS, first_send - s))))
+               for s in range(0, first_send, BLOCK_SLOTS))
 
-    members = [n.id for n in scenario.model_aware_nodes]
-    if members:
-        policy = build_model_aware_policy(scenario)
-        if policy.default_action is Action.TRANSMIT:
-            decisions = ~policy.forbidden
-        else:
-            decisions = np.zeros(total, dtype=bool)
-        # round-robin: k-th transmit decision goes to members[k mod K]
-        picks = np.flatnonzero(decisions)
-        for turn, member in enumerate(members):
-            masks[member][picks[turn::len(members)]] = True
-    return masks
+
+def _round_robin(decisions: np.ndarray, members: list[NodeId],
+                 sent: int) -> dict[NodeId, np.ndarray]:
+    """Each member's sends over a range of gateway decisions: the k-th transmit
+    decision from send slot 0 on goes to members[k mod K], and `sent` of them
+    came before the range."""
+    if len(members) == 1:
+        return {members[0]: decisions}
+    picks = np.flatnonzero(decisions)
+    sends = {}
+    for turn, member in enumerate(members):
+        segment = np.zeros(len(decisions), dtype=bool)
+        segment[picks[(turn - sent) % len(members)::len(members)]] = True
+        sends[member] = segment
+    return sends
 
 
 def run(scenario: Scenario) -> SimReport:
@@ -82,39 +91,64 @@ def run(scenario: Scenario) -> SimReport:
     errors = validate_scenario(scenario)
     if errors:
         raise ValidationError(errors)
-    masks = _transmit_masks(scenario)
     start, horizon = scenario.warmup_slots, scenario.horizon
-    counts = np.zeros(horizon, dtype=np.int32)
-    tdma_counts = np.zeros(horizon, dtype=np.int32)
-    arrivals: dict[NodeId, np.ndarray] = {}
-    for node in sorted(scenario.nodes, key=lambda n: n.id):
-        d = node.delay.slots
-        # arrival at AP slot a came from send slot a - d; start >= max delay
-        segment = masks[node.id][start - d: start + horizon - d]
-        arrivals[node.id] = segment
-        counts += segment
-        if isinstance(node.role, TdmaRole):
-            tdma_counts += segment
+    nodes = sorted(scenario.nodes, key=lambda n: n.id)
+    # arrival at AP slot a came from send slot a - d; start >= max delay
+    rngs = {}
+    for node in scenario.aloha_nodes:
+        rngs[node.id] = rng = node_rng(scenario.seed, node.id)
+        rng.bit_generator.advance(start - node.delay.slots)   # the unmeasured draws
+    members = [n.id for n in scenario.model_aware_nodes]
+    if members:
+        policy = build_model_aware_policy(scenario)
+        ma_delay = policy.delay.slots
+        # the gateway's transmit decisions before the window set whose turn it starts with
+        sent = 0
+        if len(members) > 1 and policy.default_action is Action.TRANSMIT:
+            sent = _transmit_decisions_before(policy, start - ma_delay)
 
-    success_mask = counts == 1
-    successes = int(success_mask.sum())
-    collisions = int((counts >= 2).sum())
-    idle = int((counts == 0).sum())
-    per_node = {node_id: int((segment & success_mask).sum())
-                for node_id, segment in arrivals.items()}
-    cross = int(np.count_nonzero(tdma_counts >= 2))
+    successes = collisions = cross = single = 0
+    per_node = {node.id: 0 for node in nodes}
+    for first in range(start, start + horizon, BLOCK_SLOTS):
+        n = min(BLOCK_SLOTS, start + horizon - first)
+        counts = np.zeros(n, dtype=np.int32)
+        tdma_counts = np.zeros(n, dtype=np.int32)
+        if members:
+            decisions = policy.transmit_mask(first - ma_delay, n)
+            gateway = _round_robin(decisions, members, sent)
+            sent += int(np.count_nonzero(decisions))
+        arrivals: dict[NodeId, np.ndarray] = {}
+        for node in nodes:
+            role = node.role
+            if isinstance(role, TdmaRole):
+                segment = tdma_slot_mask(role.schedule, first - node.delay.slots, n)
+                tdma_counts += segment
+            elif isinstance(role, AlohaRole):
+                segment = rngs[node.id].random(n) < role.q
+            else:
+                segment = gateway[node.id]
+            counts += segment
+            arrivals[node.id] = segment
+
+        success_mask = counts == 1
+        successes += int(np.count_nonzero(success_mask))
+        collisions += int(np.count_nonzero(counts >= 2))
+        for node_id, segment in arrivals.items():
+            per_node[node_id] += int(np.count_nonzero(segment & success_mask))
+        block_cross = int(np.count_nonzero(tdma_counts >= 2))
+        cross += block_cross
+        single += int(np.count_nonzero(tdma_counts)) - block_cross
     empirical = successes / horizon
 
     oracle = deviation = None
-    if scenario.model_aware_nodes:
-        single = int(np.count_nonzero(tdma_counts)) - cross
+    if members:
         oracle = optimal_mixed(single / horizon, scenario.aloha_probs, cross / horizon)
         deviation = abs(empirical - oracle.optimal_throughput)
-    return SimReport(measured_slots=scenario.horizon, successes=successes,
-                     collisions=collisions, idle=idle,
+    return SimReport(measured_slots=horizon, successes=successes,
+                     collisions=collisions, idle=horizon - successes - collisions,
                      per_node_successes=per_node,
                      empirical_throughput=empirical,
-                     warmup_slots=scenario.warmup_slots,
+                     warmup_slots=start,
                      tdma_cross_collisions=cross,
                      oracle=oracle, deviation=deviation)
 

@@ -1,5 +1,5 @@
-"""The precomputed optimal policy of the model-aware side: forbidden send
-slots from the TDMA schedules, and a static default action from the sign of z."""
+"""The optimal policy of the model-aware side: forbidden send slots from the
+TDMA schedules, and a static default action from the sign of z."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -14,12 +14,34 @@ from .oracle import Branch, OracleResult, optimal_mixed
 
 def tdma_slot_mask(schedule: TdmaSchedule, shift: int, count: int) -> np.ndarray:
     """Boolean mask over `count` slots: mask[s] is True when the frame offset
-    (s + shift) mod frame_length is assigned."""
+    (s + shift) mod frame_length is assigned.
+
+    A frame shorter than the mask is laid out once and copied, O(count);
+    a longer one is searched in the sorted offsets, O(log offsets + offsets
+    that land in the mask), so neither the frame length nor the offsets
+    outside the mask cost anything.
+    """
     frame = schedule.frame_length
+    offsets = schedule.sorted_offsets
+    first = shift % frame
     mask = np.zeros(count, dtype=bool)
-    for offset in schedule.assigned:
-        if (first := (offset - shift) % frame) < count:
-            mask[first::frame] = True
+    if frame < count:
+        # one frame from offset `first` on, then copied onto itself in doubling runs
+        mask[(offsets - first) % frame] = True
+        filled = frame
+        while filled < count:
+            step = min(filled, count - filled)
+            mask[filled:filled + step] = mask[:step]
+            filled += step
+        return mask
+    # the mask covers frame offsets first, first + 1, ..., wrapping past the
+    # frame's end at most once because count <= frame
+    end = first + count
+    lo, hi, wrap = offsets.searchsorted((first, min(end, frame), max(end - frame, 0))).tolist()
+    if hi > lo:
+        mask[(offsets[lo:hi] - first).astype(np.intp, copy=False)] = True
+    if wrap:
+        mask[(offsets[:wrap] + (frame - first)).astype(np.intp, copy=False)] = True
     return mask
 
 
@@ -48,18 +70,21 @@ def compute_forbidden_send_slots(tdma_nodes: Sequence[tuple[TdmaSchedule, Delay]
 
 @dataclass(frozen=True, eq=False)
 class ModelAwarePolicy:
-    """Precomputed open-loop policy: wait in forbidden slots, otherwise play
-    the static default of the oracle's branch (the sign of z).
+    """Open-loop policy over send slots 0 .. send_slots - 1: wait in forbidden
+    slots, otherwise play the static default of the oracle's branch (the
+    sign of z). Slots outside that range play the default.
 
-    `forbidden` is a read-only boolean mask indexed by send slot 0, 1, ...;
-    slots beyond it play the default.
+    It stores only what fixes its decisions: the TDMA schedules with their
+    delays, which shift them into the stream's send clock by `delay` minus
+    the TDMA delay, and the ALOHA-only `OracleResult`. Decisions are computed
+    on demand for a requested range of send slots (`forbidden_mask`,
+    `transmit_mask`), so no query costs more than the range it asks for.
     """
 
-    forbidden: np.ndarray
+    tdma: tuple[tuple[TdmaSchedule, Delay], ...]
+    delay: Delay
+    send_slots: int
     oracle: OracleResult
-
-    def __post_init__(self):
-        self.forbidden.flags.writeable = False
 
     @property
     def z_value(self) -> float:
@@ -69,15 +94,30 @@ class ModelAwarePolicy:
     def default_action(self) -> Action:
         return Action.TRANSMIT if self.oracle.chosen_branch is Branch.TRANSMIT else Action.WAIT
 
+    def forbidden_mask(self, first_send: int, count: int) -> np.ndarray:
+        """Boolean mask over send slots first_send .. first_send + count - 1:
+        True where the slot is forbidden."""
+        if count == 0:
+            return np.zeros(0, dtype=bool)
+        forbidden = compute_forbidden_send_slots(self.tdma, self.delay, first_send,
+                                                 first_send + count - 1)
+        forbidden[max(0, self.send_slots - first_send):] = False
+        return forbidden
+
+    def transmit_mask(self, first_send: int, count: int) -> np.ndarray:
+        """Boolean mask over send slots first_send .. first_send + count - 1:
+        True where the policy transmits."""
+        if self.default_action is Action.WAIT:
+            return np.zeros(count, dtype=bool)
+        return ~self.forbidden_mask(first_send, count)
+
     @property
     def forbidden_send_slots(self) -> np.ndarray:
         """Sorted indices of the forbidden send slots."""
-        return np.flatnonzero(self.forbidden)
+        return np.flatnonzero(self.forbidden_mask(0, self.send_slots))
 
     def decide(self, t: int) -> Action:
-        if 0 <= t < len(self.forbidden) and self.forbidden[t]:
-            return Action.WAIT
-        return self.default_action
+        return Action.TRANSMIT if self.transmit_mask(t, 1)[0] else Action.WAIT
 
 
 def build_model_aware_policy(scenario: Scenario) -> ModelAwarePolicy:
@@ -95,8 +135,7 @@ def build_model_aware_policy(scenario: Scenario) -> ModelAwarePolicy:
     strict = gateway_strict_errors(scenario)
     if strict:
         raise ValidationError(strict)
-    tdma = [(n.role.schedule, n.delay) for n in scenario.tdma_nodes]
-    forbidden = compute_forbidden_send_slots(tdma, group[0].delay, 0,
-                                             scenario.total_send_slots - 1)
+    tdma = tuple((n.role.schedule, n.delay) for n in scenario.tdma_nodes)
     # forbidden slots already dodge every TDMA arrival, so the default faces ALOHA only
-    return ModelAwarePolicy(forbidden, optimal_mixed(0.0, scenario.aloha_probs))
+    return ModelAwarePolicy(tdma, group[0].delay, scenario.total_send_slots,
+                            optimal_mixed(0.0, scenario.aloha_probs))

@@ -284,6 +284,16 @@ def test_run_overrides(tmp_path, capsys):
     assert "seed 9" in stdout
 
 
+def test_run_huge_warmup_finishes(capsys):
+    # the ALOHA node skips its unmeasured draws and the engine walks only the
+    # measured window, so a warm-up of 1e12 slots allocates nothing of its size
+    scenario = str(ROOT / "demos" / "scenarios" / "single_aloha.json")
+    assert main(["run", "--scenario", scenario, "--warmup", str(10**12)]) == 0
+    stdout = capsys.readouterr().out
+    assert "measured slots: 100000 (warm-up 1000000000000)" in stdout
+    assert "-> PASS" in stdout
+
+
 def test_csv_byte_identical_across_runs(tmp_path):
     path = _write(tmp_path, "single_aloha.json", SINGLE_ALOHA)
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,8 +11,9 @@ from uwmac.bruteforce import certify_policy
 from uwmac.core import (AlohaRole, ContractViolation, Delay, ModelAwareRole,
                         NodeSpec, Scenario, TdmaRole, TdmaSchedule,
                         ValidationError)
-from uwmac.engine import (SimReport, compare_to_oracle, default_tolerance, run,
-                          sweep)
+from uwmac import engine
+from uwmac.engine import (SimReport, compare_to_oracle, default_tolerance, node_rng,
+                          run, sweep)
 from uwmac.oracle import Branch, OracleResult, optimal_aloha
 
 
@@ -70,14 +72,15 @@ def test_engine_matches_reference_simulation():
 
 
 @st.composite
-def small_scenarios(draw):
-    """Up to 5 nodes, horizon <= 60, delays <= 4, frames <= 5; gateway members
-    share one delay and TDMA schedules may overlap."""
+def small_scenarios(draw, max_horizon=60):
+    """Up to 6 nodes, delays <= 4, frames <= 5; up to 3 gateway members share
+    one delay, TDMA schedules may overlap, and the warm-up is either the
+    default (the max delay) or an explicit one above it."""
     delay = st.integers(0, 4)
-    n_ma = draw(st.integers(0, 2))
+    n_ma = draw(st.integers(0, 3))
     ma_delay = draw(delay)
     roles = [ModelAwareRole()] * n_ma
-    for _ in range(draw(st.integers(0 if n_ma else 1, 5 - n_ma))):
+    for _ in range(draw(st.integers(0 if n_ma else 1, 6 - n_ma))):
         if draw(st.booleans()):
             frame = draw(st.integers(1, 5))
             assigned = draw(st.frozensets(st.integers(0, frame - 1)))
@@ -86,7 +89,9 @@ def small_scenarios(draw):
             roles.append(AlohaRole(draw(st.floats(0.0, 1.0))))
     nodes = tuple(NodeSpec(i, Delay(ma_delay if i < n_ma else draw(delay)), role)
                   for i, role in enumerate(roles))
-    return Scenario(nodes, horizon=draw(st.integers(1, 60)),
+    max_delay = max(n.delay.slots for n in nodes)
+    warmup = draw(st.none() | st.integers(max_delay + 1, max_delay + 30))
+    return Scenario(nodes, horizon=draw(st.integers(1, max_horizon)), warmup=warmup,
                     seed=draw(st.integers(0, 2 ** 64 - 1)))
 
 
@@ -94,6 +99,42 @@ def small_scenarios(draw):
 @given(small_scenarios())
 def test_engine_matches_reference_on_generated_scenarios(scenario):
     _assert_matches_reference(scenario)
+
+
+@pytest.mark.parametrize("block", [1, 7, 1000])
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(scenario=small_scenarios(max_horizon=2500))
+def test_engine_matches_reference_across_block_boundaries(block, scenario):
+    # the window, the warm-up and the gateway's turn all straddle blocks
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "BLOCK_SLOTS", block)
+        _assert_matches_reference(scenario)
+
+
+@pytest.mark.parametrize("skip", [0, 1, 7, 12345, 10**6])
+def test_advance_equals_drawing_and_discarding(skip):
+    # run skips each ALOHA node's unmeasured draws with advance; that is only
+    # sound while one random() consumes exactly one step of the generator
+    advanced = node_rng(2024, 3)
+    advanced.bit_generator.advance(skip)
+    drawn = node_rng(2024, 3)
+    drawn.random(skip)
+    assert np.array_equal(advanced.random(1000), drawn.random(1000))
+
+
+def test_run_memory_does_not_grow_with_the_horizon():
+    nodes = (_ma(0, 2), _ma(1, 2), _ma(2, 2), _tdma(3, 4, 5, {0}), _tdma(4, 1, 7, {2, 3}),
+             *(_aloha(i, i % 5, 0.01 * i) for i in range(5, 13)))
+    peaks = []
+    for horizon in (10**5, 10**6):
+        scenario = Scenario(nodes, horizon=horizon, seed=6)
+        tracemalloc.start()
+        try:
+            run(scenario)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + (2 << 20)
 
 
 def test_model_aware_never_collides_with_tdma():

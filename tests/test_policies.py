@@ -100,6 +100,19 @@ def test_tdma_slot_mask_memory_does_not_grow_with_the_frame():
     assert np.flatnonzero(tdma_slot_mask(schedule, 3, 100)).tolist() == [2, 96, 97]
 
 
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(frame=st.integers(1, 40) | st.sampled_from([2 ** 63 - 1, 2 ** 70]),
+       data=st.data(), shift=st.integers(-300, 300) | st.integers(-2 ** 72, 2 ** 72),
+       count=st.integers(0, 120))
+def test_tdma_slot_mask_matches_definition(frame, data, shift, count):
+    # frames shorter and longer than the mask, and frames past int64
+    near = st.integers(0, min(frame, 200) - 1) | st.integers(max(frame - 200, 0), frame - 1)
+    schedule = TdmaSchedule(frame, data.draw(st.frozensets(near, max_size=12)))
+    mask = tdma_slot_mask(schedule, shift, count)
+    assert mask.dtype == bool and len(mask) == count
+    assert mask.tolist() == [(s + shift) % frame in schedule.assigned for s in range(count)]
+
+
 @st.composite
 def tdma_nodes(draw):
     frame = draw(st.integers(1, 7))
@@ -196,10 +209,9 @@ def test_build_policy_rejects_non_model_aware_node():
 
 
 def test_policy_default_follows_oracle_branch():
-    forbidden = np.zeros(0, dtype=bool)
-    heavy = ModelAwarePolicy(forbidden, optimal_aloha([0.8]))
+    heavy = ModelAwarePolicy((), Delay(0), 0, optimal_aloha([0.8]))
     assert heavy.default_action is Action.WAIT and heavy.z_value < 0
-    light = ModelAwarePolicy(forbidden, optimal_aloha([0.2]))
+    light = ModelAwarePolicy((), Delay(0), 0, optimal_aloha([0.2]))
     assert light.default_action is Action.TRANSMIT and light.z_value > 0
 
 
