@@ -9,13 +9,12 @@ closed-form optimum really are optimal.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .core import (Action, ContractViolation, Delay, Scenario, ValidationError,
-                   validate_scenario)
+from .core import Action, ContractViolation, Scenario, ValidationError, validate_scenario
 from .oracle import optimal_mixed
 from .policies import build_model_aware_policy
 
@@ -50,15 +49,6 @@ class ActionSequence:
         return cls(tuple(Action.TRANSMIT if c == "T" else Action.WAIT for c in text))
 
 
-def _decision_stream_delay(scenario: Scenario) -> Delay:
-    """Delay of the single model-aware decision stream (node or strict-mode
-    gateway, whose members share one delay once strict mode is checked)."""
-    group = scenario.model_aware_nodes
-    if not group:
-        raise ContractViolation("scenario has no model-aware node to enumerate")
-    return group[0].delay
-
-
 def _aloha_success_probs(q: Sequence[float]) -> tuple[float, float]:
     """(P(no ALOHA transmits), P(exactly one transmits)), adding one node at a
     time: O(N) instead of walking all 2^N subsets.
@@ -71,9 +61,9 @@ def _aloha_success_probs(q: Sequence[float]) -> tuple[float, float]:
     return p_none, p_one
 
 
-def _tdma_arrival_counts(scenario: Scenario, horizon: int) -> list[int]:
+def _tdma_arrival_counts(scenario: Scenario) -> list[int]:
     """Deterministic TDMA arrivals per measured AP slot."""
-    start = scenario.warmup_slots
+    start, horizon = scenario.warmup_slots, scenario.horizon
     counts = [0] * horizon
     for node in scenario.tdma_nodes:
         schedule = node.role.schedule
@@ -91,8 +81,9 @@ def _per_slot_probs(scenario: Scenario) -> tuple[list[float], list[float]]:
     errors = validate_scenario(scenario)
     if errors:
         raise ValidationError(errors)
-    _decision_stream_delay(scenario)
-    counts = _tdma_arrival_counts(scenario, scenario.horizon)
+    if not scenario.model_aware_nodes:
+        raise ContractViolation("scenario has no model-aware node to enumerate")
+    counts = _tdma_arrival_counts(scenario)
     p_none, p_one = _aloha_success_probs(scenario.aloha_probs)
     p0, p1 = [], []
     for c in counts:
@@ -118,18 +109,17 @@ def exact_expected_throughput(seq: ActionSequence, scenario: Scenario) -> float:
     return total / scenario.horizon
 
 
-def enumerate_optimal(scenario: Scenario,
-                      horizon: int | None = None) -> tuple[ActionSequence, float]:
+def enumerate_optimal(scenario: Scenario) -> tuple[ActionSequence, float]:
     """Evaluate all 2^H action sequences; return a maximizer and its value.
 
     Ties break toward the lexicographically largest sequence (TRANSMIT before
     WAIT), matching the policy module's z = 0 rule.
     """
-    h = scenario.horizon if horizon is None else horizon
+    h = scenario.horizon
     if h > ENUMERATION_HORIZON_LIMIT:
         raise HorizonLimitError(f"horizon {h} exceeds the enumeration limit "
                                 f"{ENUMERATION_HORIZON_LIMIT}")
-    p0, p1 = _per_slot_probs(replace(scenario, horizon=h))
+    p0, p1 = _per_slot_probs(scenario)
     codes = np.arange(1 << h, dtype=np.uint32)
     values = np.zeros(codes.shape, dtype=np.float64)
     for i in range(h):
@@ -147,7 +137,7 @@ def policy_sequence(scenario: Scenario) -> ActionSequence:
     """Action sequence the precomputed model-aware policy plays over the
     measured window."""
     policy = build_model_aware_policy(scenario)
-    first_send = scenario.warmup_slots - _decision_stream_delay(scenario).slots
+    first_send = scenario.warmup_slots - policy.delay.slots
     transmit = policy.transmit_mask(first_send, scenario.horizon)
     return ActionSequence(tuple(Action.TRANSMIT if t else Action.WAIT for t in transmit))
 
@@ -175,18 +165,16 @@ class Certificate:
         return self.max_deviation <= self.tolerance
 
 
-def certify_policy(scenario: Scenario, horizon: int | None = None,
-                   tolerance: float = CERTIFICATE_TOLERANCE) -> Certificate:
+def certify_policy(scenario: Scenario) -> Certificate:
     """Certify that the policy attains the enumerated optimum and that both
     equal the closed-form optimum at the window's fractions of AP slots with
     one and with several TDMA arrivals."""
-    h = scenario.horizon if horizon is None else horizon
-    scenario = replace(scenario, horizon=h)
+    h = scenario.horizon
     best_seq, best_value = enumerate_optimal(scenario)
     policy_value = exact_expected_throughput(policy_sequence(scenario), scenario)
-    counts = _tdma_arrival_counts(scenario, h)
+    counts = _tdma_arrival_counts(scenario)
     fraction = sum(1 for c in counts if c == 1) / h
     blocked = sum(1 for c in counts if c >= 2) / h
     oracle_value = optimal_mixed(fraction, scenario.aloha_probs, blocked).optimal_throughput
     return Certificate(h, best_seq, best_value, policy_value, oracle_value,
-                       fraction, blocked, tolerance)
+                       fraction, blocked, CERTIFICATE_TOLERANCE)

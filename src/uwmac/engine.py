@@ -9,10 +9,11 @@ perturbs the draws of the others. Metrics count AP slots in
 slot hears each node's send from exactly one earlier slot, so a block only
 needs every node's sends over one block-long range: TDMA sends from the
 schedule, ALOHA sends from the node's generator (its unmeasured draws skipped
-with `advance`), model-aware sends from the policy's range query. Memory is
-O(BLOCK_SLOTS x nodes), whatever the horizon and warm-up; time is O(horizon),
-plus O(warm-up) for a gateway of several members in the transmit branch,
-whose round-robin turn is counted over the warm-up's decisions.
+with `advance`), and the model-aware stream's sends, one sender even for a
+gateway, from the policy's range query. Memory is O(BLOCK_SLOTS x nodes),
+whatever the horizon and warm-up; time is O(horizon), plus, for a gateway of
+several members in the transmit branch, O(min(warm-up, settle + 2 x period))
+to count whose turn the window starts with (see `_transmit_decisions_before`).
 """
 from __future__ import annotations
 
@@ -59,26 +60,18 @@ class SimReport:
 
 
 def _transmit_decisions_before(policy: ModelAwarePolicy, first_send: int) -> int:
-    """Transmit decisions of the policy in send slots 0 .. first_send - 1,
-    counted block by block."""
-    return sum(int(np.count_nonzero(policy.transmit_mask(s, min(BLOCK_SLOTS, first_send - s))))
-               for s in range(0, first_send, BLOCK_SLOTS))
-
-
-def _round_robin(decisions: np.ndarray, members: list[NodeId],
-                 sent: int) -> dict[NodeId, np.ndarray]:
-    """Each member's sends over a range of gateway decisions: the k-th transmit
-    decision from send slot 0 on goes to members[k mod K], and `sent` of them
-    came before the range."""
-    if len(members) == 1:
-        return {members[0]: decisions}
-    picks = np.flatnonzero(decisions)
-    sends = {}
-    for turn, member in enumerate(members):
-        segment = np.zeros(len(decisions), dtype=bool)
-        segment[picks[(turn - sent) % len(members)::len(members)]] = True
-        sends[member] = segment
-    return sends
+    """Transmit decisions of the policy in send slots 0 .. first_send - 1. From
+    send slot `settle` on no decision looks at a TDMA slot below 0, so they
+    repeat every `period` slots (the lcm of the frames): one period counts for
+    all the whole ones."""
+    def walk(begin: int, end: int) -> int:
+        return sum(int(np.count_nonzero(policy.transmit_mask(s, min(BLOCK_SLOTS, end - s))))
+                   for s in range(begin, end, BLOCK_SLOTS))
+    settle = max([0] + [delay.slots - policy.delay.slots for _, delay in policy.tdma])
+    period = math.lcm(*(schedule.frame_length for schedule, _ in policy.tdma))
+    full = max(0, (first_send - settle) // period)
+    head = first_send - full * period
+    return walk(0, head) + (full * walk(head, head + period) if full else 0)
 
 
 def run(scenario: Scenario) -> SimReport:
@@ -92,7 +85,6 @@ def run(scenario: Scenario) -> SimReport:
     if errors:
         raise ValidationError(errors)
     start, horizon = scenario.warmup_slots, scenario.horizon
-    nodes = sorted(scenario.nodes, key=lambda n: n.id)
     # arrival at AP slot a came from send slot a - d; start >= max delay
     rngs = {}
     for node in scenario.aloha_nodes:
@@ -108,25 +100,23 @@ def run(scenario: Scenario) -> SimReport:
             sent = _transmit_decisions_before(policy, start - ma_delay)
 
     successes = collisions = cross = single = 0
-    per_node = {node.id: 0 for node in nodes}
+    per_node = {node.id: 0 for node in sorted(scenario.nodes, key=lambda n: n.id)}
+    senders = scenario.tdma_nodes + scenario.aloha_nodes
     for first in range(start, start + horizon, BLOCK_SLOTS):
         n = min(BLOCK_SLOTS, start + horizon - first)
         counts = np.zeros(n, dtype=np.int32)
         tdma_counts = np.zeros(n, dtype=np.int32)
         if members:
             decisions = policy.transmit_mask(first - ma_delay, n)
-            gateway = _round_robin(decisions, members, sent)
-            sent += int(np.count_nonzero(decisions))
+            counts += decisions
         arrivals: dict[NodeId, np.ndarray] = {}
-        for node in nodes:
+        for node in senders:
             role = node.role
             if isinstance(role, TdmaRole):
                 segment = tdma_slot_mask(role.schedule, first - node.delay.slots, n)
                 tdma_counts += segment
-            elif isinstance(role, AlohaRole):
-                segment = rngs[node.id].random(n) < role.q
             else:
-                segment = gateway[node.id]
+                segment = rngs[node.id].random(n) < role.q
             counts += segment
             arrivals[node.id] = segment
 
@@ -135,6 +125,13 @@ def run(scenario: Scenario) -> SimReport:
         collisions += int(np.count_nonzero(counts >= 2))
         for node_id, segment in arrivals.items():
             per_node[node_id] += int(np.count_nonzero(segment & success_mask))
+        if members:
+            # the k-th transmit decision from send slot 0 on goes to members[k mod K],
+            # and `sent` of them came before this block
+            won, k = success_mask[decisions], len(members)
+            for turn, member in enumerate(members):
+                per_node[member] += int(np.count_nonzero(won[(turn - sent) % k::k]))
+            sent += len(won)
         block_cross = int(np.count_nonzero(tdma_counts >= 2))
         cross += block_cross
         single += int(np.count_nonzero(tdma_counts)) - block_cross

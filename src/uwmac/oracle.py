@@ -82,7 +82,7 @@ class OracleResult:
 def optimal_tdma_only() -> OracleResult:
     """TDMA-only competition: the model-aware side fills every free slot, so
     the network saturates at throughput 1 regardless of delays."""
-    return OracleResult(1.0, 1.0)
+    return optimal_mixed(0.0, ())
 
 
 def optimal_aloha(q: Sequence[float]) -> OracleResult:

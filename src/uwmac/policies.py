@@ -16,32 +16,29 @@ def tdma_slot_mask(schedule: TdmaSchedule, shift: int, count: int) -> np.ndarray
     """Boolean mask over `count` slots: mask[s] is True when the frame offset
     (s + shift) mod frame_length is assigned.
 
-    A frame shorter than the mask is laid out once and copied, O(count);
-    a longer one is searched in the sorted offsets, O(log offsets + offsets
-    that land in the mask), so neither the frame length nor the offsets
-    outside the mask cost anything.
+    The first min(count, frame) slots are searched in the sorted offsets,
+    O(log offsets + offsets that land there), and a frame shorter than the
+    mask is then copied onto itself in doubling runs, O(count); so neither the
+    frame length nor the offsets outside the mask cost anything.
     """
     frame = schedule.frame_length
     offsets = schedule.sorted_offsets
     first = shift % frame
     mask = np.zeros(count, dtype=bool)
-    if frame < count:
-        # one frame from offset `first` on, then copied onto itself in doubling runs
-        mask[(offsets - first) % frame] = True
-        filled = frame
-        while filled < count:
-            step = min(filled, count - filled)
-            mask[filled:filled + step] = mask[:step]
-            filled += step
-        return mask
-    # the mask covers frame offsets first, first + 1, ..., wrapping past the
-    # frame's end at most once because count <= frame
-    end = first + count
+    # frame offsets first, first + 1, ..., wrapping past the frame's end at
+    # most once because head <= frame
+    head = min(count, frame)
+    end = first + head
     lo, hi, wrap = offsets.searchsorted((first, min(end, frame), max(end - frame, 0))).tolist()
     if hi > lo:
         mask[(offsets[lo:hi] - first).astype(np.intp, copy=False)] = True
     if wrap:
         mask[(offsets[:wrap] + (frame - first)).astype(np.intp, copy=False)] = True
+    filled = head
+    while filled < count:
+        step = min(filled, count - filled)
+        mask[filled:filled + step] = mask[:step]
+        filled += step
     return mask
 
 

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -141,7 +142,7 @@ def test_enumerate_refuses_long_horizon():
     scn = _scenario(_ma(0, 0), horizon=17)
     with pytest.raises(HorizonLimitError):
         enumerate_optimal(scn)
-    best, _ = enumerate_optimal(scn, horizon=4)
+    best, _ = enumerate_optimal(replace(scn, horizon=4))
     assert len(best) == 4
 
 

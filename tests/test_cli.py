@@ -286,12 +286,14 @@ def test_run_overrides(tmp_path, capsys):
 
 def test_run_huge_warmup_finishes(capsys):
     # the ALOHA node skips its unmeasured draws and the engine walks only the
-    # measured window, so a warm-up of 1e12 slots allocates nothing of its size
-    scenario = str(ROOT / "demos" / "scenarios" / "single_aloha.json")
-    assert main(["run", "--scenario", scenario, "--warmup", str(10**12)]) == 0
-    stdout = capsys.readouterr().out
-    assert "measured slots: 100000 (warm-up 1000000000000)" in stdout
-    assert "-> PASS" in stdout
+    # measured window, so a warm-up of 1e12 slots allocates nothing of its size;
+    # the gateway counts its warm-up decisions over one TDMA period, not all of them
+    for name, slots in (("single_aloha.json", 100000), ("gateway_roster.json", 10000)):
+        scenario = str(ROOT / "demos" / "scenarios" / name)
+        assert main(["run", "--scenario", scenario, "--warmup", str(10**12)]) == 0
+        stdout = capsys.readouterr().out
+        assert f"measured slots: {slots} (warm-up 1000000000000)" in stdout
+        assert "-> PASS" in stdout
 
 
 def test_csv_byte_identical_across_runs(tmp_path):

@@ -15,6 +15,7 @@ from uwmac import engine
 from uwmac.engine import (SimReport, compare_to_oracle, default_tolerance, node_rng,
                           run, sweep)
 from uwmac.oracle import Branch, OracleResult, optimal_aloha
+from uwmac.policies import build_model_aware_policy
 
 
 def _ma(node_id, delay, member=True):
@@ -109,6 +110,34 @@ def test_engine_matches_reference_across_block_boundaries(block, scenario):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(engine, "BLOCK_SLOTS", block)
         _assert_matches_reference(scenario)
+
+
+@st.composite
+def warm_gateways(draw):
+    """A transmit-branch gateway against 0 to 3 TDMA nodes with frames 1 to 9
+    and delays on either side of the gateway's, and a warm-up up to 3000."""
+    ma_delay = draw(st.integers(0, 4))
+    nodes = [_ma(i, ma_delay) for i in range(draw(st.integers(2, 3)))]
+    for _ in range(draw(st.integers(0, 3))):
+        frame = draw(st.integers(1, 9))
+        assigned = draw(st.frozensets(st.integers(0, frame - 1)))
+        nodes.append(_tdma(len(nodes), draw(st.integers(0, 12)), frame, assigned))
+    max_delay = max(n.delay.slots for n in nodes)
+    return Scenario(tuple(nodes), horizon=1,
+                    warmup=draw(st.integers(max_delay, max_delay + 3000)), seed=0)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(scenario=warm_gateways(), block=st.sampled_from([1, 7, 1000, 65536]))
+def test_warmup_decision_count_matches_a_plain_walk(scenario, block):
+    # the count over whole periods of the forbidden pattern equals walking the warm-up
+    policy = build_model_aware_policy(scenario)
+    first_send = scenario.warmup_slots - policy.delay.slots
+    walked = sum(int(np.count_nonzero(policy.transmit_mask(s, min(97, first_send - s))))
+                 for s in range(0, first_send, 97))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "BLOCK_SLOTS", block)
+        assert engine._transmit_decisions_before(policy, first_send) == walked
 
 
 @pytest.mark.parametrize("skip", [0, 1, 7, 12345, 10**6])
