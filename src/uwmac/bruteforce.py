@@ -5,12 +5,15 @@ exactly one AP slot, so the expected throughput of any binary action sequence
 decomposes into per-slot success probabilities and can be computed exactly in
 O(H), at any horizon. Enumerating all 2^H sequences, which only short
 horizons allow, then certifies that the precomputed policy and the
-closed-form optimum really are optimal.
+closed-form optimum really are optimal. The enumeration builds the table of
+all 2^H values by doubling, in O(2^H) time and memory: 512 KB of float64 at
+ENUMERATION_HORIZON_LIMIT = 16.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -75,21 +78,29 @@ def _tdma_arrival_counts(scenario: Scenario) -> list[int]:
     return counts
 
 
-def _per_slot_probs(scenario: Scenario) -> tuple[list[float], list[float]]:
-    """Success probability of each measured slot for wait (p0) and transmit
-    (p1), once the scenario is valid and has a model-aware decision stream."""
+class _Window(NamedTuple):
+    """The measured window as the model-aware stream sees it. classes[i] is
+    min(TDMA arrivals, 2) at measured AP slot i; wait[c] and transmit[c] are a
+    slot of class c's success probability when the stream waits or transmits."""
+
+    classes: bytes
+    wait: tuple[float, float, float]
+    transmit: tuple[float, float, float]
+
+
+@functools.lru_cache(maxsize=1)
+def _window(scenario: Scenario) -> _Window:
+    """The window of a valid scenario with a model-aware decision stream. The
+    last one is kept, so `certify_policy` and the two evaluations it calls
+    build it once."""
     errors = validate_scenario(scenario)
     if errors:
         raise ValidationError(errors)
     if not scenario.model_aware_nodes:
         raise ContractViolation("scenario has no model-aware node to enumerate")
-    counts = _tdma_arrival_counts(scenario)
     p_none, p_one = _aloha_success_probs(scenario.aloha_probs)
-    p0, p1 = [], []
-    for c in counts:
-        p1.append(p_none if c == 0 else 0.0)
-        p0.append(p_one if c == 0 else (p_none if c == 1 else 0.0))
-    return p0, p1
+    return _Window(bytes(min(c, 2) for c in _tdma_arrival_counts(scenario)),
+                   wait=(p_one, p_none, 0.0), transmit=(p_none, 0.0, 0.0))
 
 
 def exact_expected_throughput(seq: ActionSequence, scenario: Scenario) -> float:
@@ -99,19 +110,41 @@ def exact_expected_throughput(seq: ActionSequence, scenario: Scenario) -> float:
     slot warmup + i. Works for a single model-aware node or a strict-mode
     gateway group (one decision stream either way).
     """
-    p0, p1 = _per_slot_probs(scenario)
+    window = _window(scenario)
     if len(seq) != scenario.horizon:
         raise ContractViolation(f"sequence length {len(seq)} must equal the "
                                 f"horizon {scenario.horizon}")
     total = 0.0
-    for i, bit in enumerate(seq.bits):
-        total += p1[i] if bit is Action.TRANSMIT else p0[i]
+    for bit, c in zip(seq.bits, window.classes):
+        total += window.transmit[c] if bit is Action.TRANSMIT else window.wait[c]
     return total / scenario.horizon
+
+
+def _optimum(wait: Sequence[float], transmit: Sequence[float]) -> tuple[ActionSequence, float]:
+    """Best of all 2^H sequences over slots with these success probabilities.
+
+    The table of all 2^H values is built by doubling: after slot i, entry
+    2k + b is entry k of the table over slots 0 .. i-1 plus slot i's wait
+    (b = 0) or transmit (b = 1) probability. Slot 0 is thus an index's most
+    significant bit, each value is the same left-to-right sum as a loop over
+    one sequence, and the table costs O(2^H) time and memory.
+    """
+    h = len(wait)
+    values = np.zeros(1)
+    for i in range(h):
+        values = np.stack((values + wait[i], values + transmit[i]), axis=1).ravel()
+    values /= h
+    # the last maximizer is the lexicographically largest sequence
+    best_code = values.size - 1 - int(np.argmax(values[::-1]))
+    bits = tuple(Action.TRANSMIT if (best_code >> (h - 1 - i)) & 1 else Action.WAIT
+                 for i in range(h))
+    return ActionSequence(bits), float(values[best_code])
 
 
 def enumerate_optimal(scenario: Scenario) -> tuple[ActionSequence, float]:
     """Evaluate all 2^H action sequences; return a maximizer and its value.
 
+    Costs O(2^H) time and memory: 512 KB of float64 at the limit of 16.
     Ties break toward the lexicographically largest sequence (TRANSMIT before
     WAIT), matching the policy module's z = 0 rule.
     """
@@ -119,18 +152,9 @@ def enumerate_optimal(scenario: Scenario) -> tuple[ActionSequence, float]:
     if h > ENUMERATION_HORIZON_LIMIT:
         raise HorizonLimitError(f"horizon {h} exceeds the enumeration limit "
                                 f"{ENUMERATION_HORIZON_LIMIT}")
-    p0, p1 = _per_slot_probs(scenario)
-    codes = np.arange(1 << h, dtype=np.uint32)
-    values = np.zeros(codes.shape, dtype=np.float64)
-    for i in range(h):
-        transmit = (codes >> (h - 1 - i)) & 1
-        values += np.where(transmit == 1, p1[i], p0[i])
-    values /= h
-    best_value = values.max()
-    best_code = int(codes[values == best_value].max())
-    bits = tuple(Action.TRANSMIT if (best_code >> (h - 1 - i)) & 1 else Action.WAIT
-                 for i in range(h))
-    return ActionSequence(bits), float(best_value)
+    window = _window(scenario)
+    return _optimum([window.wait[c] for c in window.classes],
+                    [window.transmit[c] for c in window.classes])
 
 
 def policy_sequence(scenario: Scenario) -> ActionSequence:
@@ -171,10 +195,10 @@ def certify_policy(scenario: Scenario) -> Certificate:
     one and with several TDMA arrivals."""
     h = scenario.horizon
     best_seq, best_value = enumerate_optimal(scenario)
+    classes = _window(scenario).classes
     policy_value = exact_expected_throughput(policy_sequence(scenario), scenario)
-    counts = _tdma_arrival_counts(scenario)
-    fraction = sum(1 for c in counts if c == 1) / h
-    blocked = sum(1 for c in counts if c >= 2) / h
+    fraction = classes.count(1) / h
+    blocked = classes.count(2) / h
     oracle_value = optimal_mixed(fraction, scenario.aloha_probs, blocked).optimal_throughput
     return Certificate(h, best_seq, best_value, policy_value, oracle_value,
                        fraction, blocked, CERTIFICATE_TOLERANCE)

@@ -354,8 +354,10 @@ def _cmd_verify(args) -> int:
     print(f"enumerated optimum over 2^{cert.horizon} sequences: "
           f"{cert.best_value!r} ({cert.best_sequence.to_string()})")
     print(f"policy value: {cert.policy_value!r}")
+    blocked = (f", blocked {cert.tdma_window_blocked!r}"
+               if cert.tdma_window_blocked > 0 else "")
     print(f"closed-form optimum at window tdma fraction "
-          f"{cert.tdma_window_fraction!r}: {cert.oracle_value!r}")
+          f"{cert.tdma_window_fraction!r}{blocked}: {cert.oracle_value!r}")
     print(f"certificate: {'MATCH' if cert.matches else 'MISMATCH'} "
           f"(max deviation {cert.max_deviation:.3e}, tolerance {cert.tolerance!r})")
     return EXIT_OK if cert.matches else EXIT_FAILED

@@ -86,8 +86,9 @@ def run(scenario: Scenario) -> SimReport:
         raise ValidationError(errors)
     start, horizon = scenario.warmup_slots, scenario.horizon
     # arrival at AP slot a came from send slot a - d; start >= max delay
+    aloha = scenario.aloha_nodes
     rngs = {}
-    for node in scenario.aloha_nodes:
+    for node in aloha:
         rngs[node.id] = rng = node_rng(scenario.seed, node.id)
         rng.bit_generator.advance(start - node.delay.slots)   # the unmeasured draws
     members = [n.id for n in scenario.model_aware_nodes]
@@ -101,9 +102,13 @@ def run(scenario: Scenario) -> SimReport:
 
     successes = collisions = cross = single = 0
     per_node = {node.id: 0 for node in sorted(scenario.nodes, key=lambda n: n.id)}
-    senders = scenario.tdma_nodes + scenario.aloha_nodes
+    senders = scenario.tdma_nodes + aloha
+    # one draw buffer per run, refilled in place: every block's draws land in the
+    # same memory instead of wherever the allocator puts a fresh array
+    draws_buf = np.empty(min(BLOCK_SLOTS, horizon))
     for first in range(start, start + horizon, BLOCK_SLOTS):
         n = min(BLOCK_SLOTS, start + horizon - first)
+        draws = draws_buf[:n]
         counts = np.zeros(n, dtype=np.int32)
         tdma_counts = np.zeros(n, dtype=np.int32)
         if members:
@@ -116,7 +121,7 @@ def run(scenario: Scenario) -> SimReport:
                 segment = tdma_slot_mask(role.schedule, first - node.delay.slots, n)
                 tdma_counts += segment
             else:
-                segment = rngs[node.id].random(n) < role.q
+                segment = rngs[node.id].random(out=draws) < role.q
             counts += segment
             arrivals[node.id] = segment
 

@@ -1,9 +1,12 @@
 import itertools
+import tracemalloc
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from uwmac import bruteforce
 from uwmac.bruteforce import (ActionSequence, HorizonLimitError, certify_policy,
                               enumerate_optimal, exact_expected_throughput,
                               policy_sequence)
@@ -68,6 +71,29 @@ def joint_expected_throughput(seq, scenario):
                 successes += 1
         total += prob * successes
     return total / horizon
+
+
+def reference_optimum(wait, transmit):
+    """The per-bit enumeration: one pass over all 2^H codes per slot, slot 0
+    the most significant bit, ties to the largest code."""
+    h = len(wait)
+    codes = np.arange(1 << h, dtype=np.uint32)
+    values = np.zeros(codes.shape, dtype=np.float64)
+    for i in range(h):
+        sends = (codes >> (h - 1 - i)) & 1
+        values += np.where(sends == 1, transmit[i], wait[i])
+    values /= h
+    best_value = values.max()
+    best_code = int(codes[values == best_value].max())
+    bits = tuple(T if (best_code >> (h - 1 - i)) & 1 else W for i in range(h))
+    return ActionSequence(bits), float(best_value)
+
+
+def window_probs(scenario):
+    """Each measured slot's success probability for wait and for transmit."""
+    window = bruteforce._window(scenario)
+    return ([window.wait[c] for c in window.classes],
+            [window.transmit[c] for c in window.classes])
 
 
 def test_all_wait_against_single_aloha():
@@ -264,3 +290,42 @@ def test_three_routes_agree_on_generated_scenarios():
     # the generated set really holds overlapping windows and gateways
     assert sum(overlap for overlap, _ in seen) >= 20
     assert sum(gateway for _, gateway in seen) >= 20
+
+
+# exact ties (equal probabilities, repeated slots) and zeros are the cases
+# where the tie-break decides the sequence
+slot_probs = st.sampled_from([0.0, 0.25, 0.5, 0.7, 1.0]) | st.floats(0.0, 1.0)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda h: st.tuples(
+    st.lists(slot_probs, min_size=h, max_size=h), st.lists(slot_probs, min_size=h, max_size=h))))
+def test_doubling_table_equals_the_per_bit_enumeration(probs):
+    wait, transmit = probs
+    best, value = bruteforce._optimum(wait, transmit)
+    expected_best, expected_value = reference_optimum(wait, transmit)
+    assert best == expected_best
+    assert value == expected_value
+
+
+def test_enumeration_equals_the_per_bit_reference_on_generated_scenarios():
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(small_scenarios())
+    def check(scn):
+        assert enumerate_optimal(scn) == reference_optimum(*window_probs(scn))
+
+    check()
+
+
+def test_enumeration_at_the_limit_stays_within_three_tables():
+    scn = _scenario(_ma(0, 1), _tdma(1, 2, 5, {0, 2}), _aloha(2, 0, 0.3), horizon=16)
+    assert enumerate_optimal(scn) == reference_optimum(*window_probs(scn))
+    tracemalloc.start()
+    try:
+        enumerate_optimal(scn)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one 2^16 float64 table is 512 KiB; the last doubling step holds 2.5 of
+    # them, while the per-bit passes over a code array peaked at about 1.6 MB
+    assert peak <= 3 * (8 << 16)

@@ -390,6 +390,28 @@ def test_verify_mixed_scenario(tmp_path, capsys):
     assert "MATCH" in capsys.readouterr().out
 
 
+def test_verify_prints_the_blocked_share_of_an_overlapping_window(tmp_path, capsys):
+    # AP slots 0 mod 4 hear both TDMA nodes and 1 mod 4 only the second, so
+    # c1 = c2 = 0.25; without c2 the line would read as optimal_mixed(0.25, [0.3]) = 0.7
+    doc = {
+        "nodes": [
+            {"id": 0, "delay_slots": 0, "role": {"model_aware": {}}},
+            {"id": 1, "delay_slots": 0, "role": {"tdma": {"frame_length": 4, "assigned": [0]}}},
+            {"id": 2, "delay_slots": 0,
+             "role": {"tdma": {"frame_length": 4, "assigned": [0, 1]}}},
+            {"id": 3, "delay_slots": 0, "role": {"aloha": {"q": 0.3}}},
+        ],
+        "horizon": 8,
+        "seed": 3,
+    }
+    path = _write(tmp_path, "overlap.json", doc)
+    assert main(["verify", "--scenario", path]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2] == ("closed-form optimum at window tdma fraction 0.25, "
+                        "blocked 0.25: 0.5249999999999999")
+    assert lines[3].startswith("certificate: MATCH")
+
+
 def test_verify_corrupted_policy_exits_1(tmp_path, capsys):
     path = _write(tmp_path, "single_aloha.json", {**SINGLE_ALOHA, "horizon": 8})
     assert main(["verify", "--scenario", path, "--corrupt-policy"]) == 1
