@@ -145,17 +145,17 @@ class Scenario:
         # has complete arrival information
         return self.warmup_slots + self.horizon + self.max_delay + 1
 
-    @property
+    @cached_property
     def tdma_nodes(self) -> tuple[NodeSpec, ...]:
         return tuple(n for n in sorted(self.nodes, key=lambda n: n.id)
                      if isinstance(n.role, TdmaRole))
 
-    @property
+    @cached_property
     def aloha_nodes(self) -> tuple[NodeSpec, ...]:
         return tuple(n for n in sorted(self.nodes, key=lambda n: n.id)
                      if isinstance(n.role, AlohaRole))
 
-    @property
+    @cached_property
     def model_aware_nodes(self) -> tuple[NodeSpec, ...]:
         return tuple(n for n in sorted(self.nodes, key=lambda n: n.id)
                      if isinstance(n.role, ModelAwareRole))

@@ -14,11 +14,20 @@ gateway, from the policy's range query. Memory is O(BLOCK_SLOTS x nodes),
 whatever the horizon and warm-up; time is O(horizon), plus, for a gateway of
 several members in the transmit branch, O(min(warm-up, settle + 2 x period))
 to count whose turn the window starts with (see `_transmit_decisions_before`).
+
+When a full block holds at least PARALLEL_DRAWS ALOHA draws, each block's
+ALOHA sends are drawn on every CPU the process may use (WORKERS): ALOHA node i
+goes to chunk i mod WORKERS, the calling thread draws chunk 0 and persistent
+helper threads, started on the first such run, draw the others. Every
+generator is still drawn by one thread in block order, so a run stays a pure
+function of (scenario, seed), whatever the CPU count.
 """
 from __future__ import annotations
 
 import itertools
 import math
+import os
+import threading
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -31,6 +40,48 @@ from .policies import ModelAwarePolicy, build_model_aware_policy, tdma_slot_mask
 
 
 BLOCK_SLOTS = 1 << 16
+# a full block of at least this many ALOHA draws splits them across WORKERS threads
+PARALLEL_DRAWS = 1 << 18
+# the CPUs this process may run on
+WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+           else os.cpu_count() or 1)
+
+_pool = None   # (helper count, executor) of the draw helpers, started on first need
+_pool_lock = threading.Lock()
+
+
+def _helper_pool(helpers: int):
+    """The persistent executor of `helpers` draw threads; one of another size
+    is shut down and replaced. concurrent.futures is imported here, not at
+    module level, so that importing uwmac stays cheap."""
+    global _pool
+    with _pool_lock:
+        if _pool is None or _pool[0] != helpers:
+            from concurrent.futures import ThreadPoolExecutor
+            if _pool is not None:
+                _pool[1].shutdown()
+            _pool = helpers, ThreadPoolExecutor(helpers, thread_name_prefix="uwmac-draws")
+        return _pool[1]
+
+
+def _forget_pool() -> None:
+    # a forked child has none of its parent's threads: it starts its own pool
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _draw(chunk, draws: np.ndarray, masks: np.ndarray, counts: np.ndarray) -> None:
+    """For each (generator, q, row) of the chunk: refill `draws`, write the
+    node's send mask into masks[row] and add it to `counts`. Everything is
+    written in place, so a helper thread allocates no array."""
+    for rng, q, row in chunk:
+        mask = masks[row]
+        np.less(rng.random(out=draws), q, out=mask)
+        np.add(counts, mask, out=counts)
 
 
 def node_rng(seed: int, node_id: NodeId) -> np.random.Generator:
@@ -87,10 +138,11 @@ def run(scenario: Scenario) -> SimReport:
     start, horizon = scenario.warmup_slots, scenario.horizon
     # arrival at AP slot a came from send slot a - d; start >= max delay
     aloha = scenario.aloha_nodes
-    rngs = {}
-    for node in aloha:
-        rngs[node.id] = rng = node_rng(scenario.seed, node.id)
+    draws = []   # (generator, q, send-mask row) of each ALOHA node
+    for row, node in enumerate(aloha):
+        rng = node_rng(scenario.seed, node.id)
         rng.bit_generator.advance(start - node.delay.slots)   # the unmeasured draws
+        draws.append((rng, node.role.q, row))
     members = [n.id for n in scenario.model_aware_nodes]
     if members:
         policy = build_model_aware_policy(scenario)
@@ -102,28 +154,43 @@ def run(scenario: Scenario) -> SimReport:
 
     successes = collisions = cross = single = 0
     per_node = {node.id: 0 for node in sorted(scenario.nodes, key=lambda n: n.id)}
-    senders = scenario.tdma_nodes + aloha
-    # one draw buffer per run, refilled in place: every block's draws land in the
-    # same memory instead of wherever the allocator puts a fresh array
-    draws_buf = np.empty(min(BLOCK_SLOTS, horizon))
+    tdma = scenario.tdma_nodes
+    # each block's draws land in buffers made once per run: a draw buffer per
+    # worker, partial counts per helper and one send-mask row per ALOHA node
+    cap = min(BLOCK_SLOTS, horizon)
+    workers = WORKERS if cap * len(aloha) >= PARALLEL_DRAWS else 1
+    bufs = np.empty((workers, cap))
+    partials = np.empty((workers - 1, cap), dtype=np.int32)
+    masks = np.empty((len(aloha), cap), dtype=bool)
+    chunks = [draws[w::workers] for w in range(workers)]
+    pool = _helper_pool(workers - 1) if workers > 1 else None
     for first in range(start, start + horizon, BLOCK_SLOTS):
         n = min(BLOCK_SLOTS, start + horizon - first)
-        draws = draws_buf[:n]
         counts = np.zeros(n, dtype=np.int32)
         tdma_counts = np.zeros(n, dtype=np.int32)
         if members:
             decisions = policy.transmit_mask(first - ma_delay, n)
             counts += decisions
         arrivals: dict[NodeId, np.ndarray] = {}
-        for node in senders:
-            role = node.role
-            if isinstance(role, TdmaRole):
-                segment = tdma_slot_mask(role.schedule, first - node.delay.slots, n)
-                tdma_counts += segment
-            else:
-                segment = rngs[node.id].random(out=draws) < role.q
+        for node in tdma:
+            segment = tdma_slot_mask(node.role.schedule, first - node.delay.slots, n)
+            tdma_counts += segment
             counts += segment
             arrivals[node.id] = segment
+        # the helpers run only while the calling thread draws, never while it
+        # runs the interpreter-bound policy and TDMA code above
+        block_masks = masks[:, :n]
+        jobs = []
+        for chunk, buf, partial in zip(chunks[1:], bufs[1:], partials):
+            partial = partial[:n]
+            partial.fill(0)
+            jobs.append((pool.submit(_draw, chunk, buf[:n], block_masks, partial), partial))
+        _draw(chunks[0], bufs[0, :n], block_masks, counts)
+        for job, partial in jobs:
+            job.result()
+            counts += partial
+        for row, node in enumerate(aloha):
+            arrivals[node.id] = block_masks[row]
 
         success_mask = counts == 1
         successes += int(np.count_nonzero(success_mask))

@@ -2,6 +2,9 @@ import contextlib
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -534,3 +537,14 @@ def test_malformed_scenarios_never_raise(tmp_path_factory):
 
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         check()
+
+
+def test_import_starts_no_thread_and_loads_no_executor():
+    # the engine's draw helpers start on the first big run, not on import
+    probe = ("import sys, threading, uwmac.cli; "
+             "print(threading.active_count(), 'concurrent.futures' in sys.modules)")
+    src = Path(__file__).resolve().parent.parent / "src"
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["1", "False"]

@@ -1,5 +1,10 @@
 import dataclasses
 import math
+import os
+import signal
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -110,6 +115,121 @@ def test_engine_matches_reference_across_block_boundaries(block, scenario):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(engine, "BLOCK_SLOTS", block)
         _assert_matches_reference(scenario)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("block", [1, 7, 1000])
+@settings(max_examples=25, derandomize=True, database=None, deadline=None)
+@given(scenario=small_scenarios(max_horizon=1200))
+def test_threaded_draws_match_one_thread_and_the_reference(block, workers, scenario):
+    # every block with an ALOHA node splits its draws across the helper threads
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "BLOCK_SLOTS", block)
+        patch.setattr(engine, "PARALLEL_DRAWS", 1)
+        patch.setattr(engine, "WORKERS", 1)
+        serial = run(scenario)
+        patch.setattr(engine, "WORKERS", workers)
+        assert run(scenario) == serial
+        _assert_matches_reference(scenario)
+
+
+def _helper_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("uwmac-draws")]
+
+
+def _crowd():
+    """Eight ALOHA nodes over two full blocks: past the parallel threshold."""
+    scenario = Scenario((_ma(0, 1), *(_aloha(i, i % 3, 0.02) for i in range(1, 9))),
+                        horizon=2 * engine.BLOCK_SLOTS, seed=4)
+    assert scenario.num_aloha * engine.BLOCK_SLOTS >= engine.PARALLEL_DRAWS
+    return scenario
+
+
+def test_helper_threads_stay_bounded(monkeypatch):
+    monkeypatch.setattr(engine, "WORKERS", 3)
+    others = threading.active_count() - len(_helper_threads())
+    for _ in range(20):
+        run(_crowd())
+    assert 1 <= len(_helper_threads()) <= 2
+    assert threading.active_count() <= others + 2
+
+
+def test_concurrent_runs_share_the_helpers(monkeypatch):
+    monkeypatch.setattr(engine, "WORKERS", 1)
+    serial = run(_crowd())
+    monkeypatch.setattr(engine, "WORKERS", 3)
+    reports = []
+
+    def caller():
+        for _ in range(3):
+            reports.append(run(_crowd()))
+
+    callers = [threading.Thread(target=caller) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in callers:
+            thread.start()
+        for thread in callers:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in callers)
+    assert reports == [serial] * 12
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_starts_its_own_helpers(monkeypatch):
+    # the child inherits the parent's pool object but none of its threads
+    monkeypatch.setattr(engine, "WORKERS", 2)
+    threaded = run(_crowd())
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            code = 0 if run(_crowd()) == threaded else 1
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 60
+    while (status := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    if status[0] == 0:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        pytest.fail("the forked child hung")
+    assert os.waitstatus_to_exitcode(status[1]) == 0
+
+
+def test_a_run_below_the_threshold_starts_no_helper(monkeypatch):
+    def no_pool(helpers):
+        raise AssertionError(f"asked for {helpers} helper threads")
+
+    monkeypatch.setattr(engine, "WORKERS", 3)
+    monkeypatch.setattr(engine, "_helper_pool", no_pool)
+    before = threading.active_count()
+    # the sweep_short shape: 4 nodes at H = 500
+    run(Scenario((_ma(0, 1), _tdma(1, 3, 4, {0}), _aloha(2, 0, 0.1), _aloha(3, 2, 0.2)),
+                 horizon=500, seed=9))
+    assert threading.active_count() == before
+
+
+def test_an_error_in_a_helper_reaches_the_caller(monkeypatch):
+    monkeypatch.setattr(engine, "WORKERS", 2)
+    draw = engine._draw
+
+    def failing_in_helpers(*args):
+        if threading.current_thread().name.startswith("uwmac-draws"):
+            raise RuntimeError("draw failed")
+        draw(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "_draw", failing_in_helpers)
+        with pytest.raises(RuntimeError, match="draw failed"):
+            run(_crowd())
+    # the pool keeps working after a failed run
+    threaded = run(_crowd())
+    monkeypatch.setattr(engine, "WORKERS", 1)
+    assert run(_crowd()) == threaded
 
 
 @st.composite
