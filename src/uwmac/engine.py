@@ -5,15 +5,20 @@ independent RNG substream keyed by (seed, node id), so adding a node never
 perturbs the draws of the others. Metrics count AP slots in
 [warmup, warmup + horizon); throughput is successes / measured slots.
 
-`run` walks that window in blocks of BLOCK_SLOTS AP slots. Each measured AP
-slot hears each node's send from exactly one earlier slot, so a block only
-needs every node's sends over one block-long range: TDMA sends from the
-schedule, ALOHA sends from the node's generator (its unmeasured draws skipped
-with `advance`), and the model-aware stream's sends, one sender even for a
-gateway, from the policy's range query. Memory is O(BLOCK_SLOTS x nodes),
-whatever the horizon and warm-up; time is O(horizon), plus, for a gateway of
-several members in the transmit branch, O(min(warm-up, settle + 2 x period))
-to count whose turn the window starts with (see `_transmit_decisions_before`).
+`run` walks that window in blocks of at most BLOCK_SLOTS AP slots. Each
+measured AP slot hears each node's send from exactly one earlier slot, so a
+block only needs every node's sends over one block-long range: TDMA sends from
+the schedule, ALOHA sends from the node's generator (its unmeasured draws
+skipped with `advance`), and the model-aware stream's sends, one sender even
+for a gateway, from the policy's range query. Inside the window the TDMA
+arrivals and the decisions repeat every `period` AP slots, the lcm of the
+frames, so a block is cut at the largest multiple of the period that fits in
+BLOCK_SLOTS (at BLOCK_SLOTS when the period is longer) and they are built once
+per phase of the period, not once per block (`_BlockProfile`). Memory is
+O(BLOCK_SLOTS x nodes), whatever the horizon and warm-up; time is O(horizon),
+plus, for a gateway of several members in the transmit branch,
+O(min(warm-up, settle + 2 x period)) to count whose turn the window starts
+with (see `_transmit_decisions_before`).
 
 When a full block holds at least PARALLEL_DRAWS ALOHA draws, each block's
 ALOHA sends are drawn on every CPU the process may use (WORKERS): ALOHA node i
@@ -110,7 +115,7 @@ class SimReport:
     deviation: float | None = None
 
 
-def _transmit_decisions_before(policy: ModelAwarePolicy, first_send: int) -> int:
+def _transmit_decisions_before(policy: ModelAwarePolicy, first_send: int, period: int) -> int:
     """Transmit decisions of the policy in send slots 0 .. first_send - 1. From
     send slot `settle` on no decision looks at a TDMA slot below 0, so they
     repeat every `period` slots (the lcm of the frames): one period counts for
@@ -119,10 +124,50 @@ def _transmit_decisions_before(policy: ModelAwarePolicy, first_send: int) -> int
         return sum(int(np.count_nonzero(policy.transmit_mask(s, min(BLOCK_SLOTS, end - s))))
                    for s in range(begin, end, BLOCK_SLOTS))
     settle = max([0] + [delay.slots - policy.delay.slots for _, delay in policy.tdma])
-    period = math.lcm(*(schedule.frame_length for schedule, _ in policy.tdma))
     full = max(0, (first_send - settle) // period)
     head = first_send - full * period
     return walk(0, head) + (full * walk(head, head + period) if full else 0)
+
+
+class _BlockProfile:
+    """The part of a block of AP slots that the schedules alone fix: the
+    deterministic senders per slot, each TDMA node's arrivals and the model-aware
+    stream's transmit decisions, whose positions are split by relative turn
+    (turns[j] holds decisions j, j + k, j + 2k, ... of the block for k members)."""
+
+    def __init__(self, counts: np.ndarray, arrivals: dict[NodeId, np.ndarray],
+                 turns: list[np.ndarray]):
+        self.counts, self.arrivals, self.turns = counts, arrivals, turns
+        self.decided = sum(map(len, turns))
+        # a decision never shares its slot with a TDMA arrival, so every slot
+        # of two or more deterministic senders is a cross collision
+        self.cross = int(np.count_nonzero(counts >= 2))
+        self.single = int(np.count_nonzero(counts)) - self.cross - self.decided
+
+    @classmethod
+    def build(cls, tdma: Sequence, policy: ModelAwarePolicy | None, k: int,
+              first: int, count: int) -> _BlockProfile:
+        """The profile of AP slots first .. first + count - 1 for a decision
+        stream whose k members take turns."""
+        counts = np.zeros(count, dtype=np.int32)
+        arrivals = {}
+        for node in tdma:
+            segment = tdma_slot_mask(node.role.schedule, first - node.delay.slots, count)
+            counts += segment
+            arrivals[node.id] = segment
+        turns = []
+        if policy is not None:
+            decisions = policy.transmit_mask(first - policy.delay.slots, count)
+            counts += decisions
+            positions = decisions.nonzero()[0]
+            turns = [positions[j::k] for j in range(k)]
+        return cls(counts, arrivals, turns)
+
+    def prefix(self, count: int) -> _BlockProfile:
+        """The profile of the first `count` slots of this one."""
+        arrivals = {node_id: segment[:count] for node_id, segment in self.arrivals.items()}
+        turns = [positions[:positions.searchsorted(count)] for positions in self.turns]
+        return _BlockProfile(self.counts[:count], arrivals, turns)
 
 
 def run(scenario: Scenario) -> SimReport:
@@ -143,40 +188,43 @@ def run(scenario: Scenario) -> SimReport:
         rng = node_rng(scenario.seed, node.id)
         rng.bit_generator.advance(start - node.delay.slots)   # the unmeasured draws
         draws.append((rng, node.role.q, row))
+    tdma = scenario.tdma_nodes
+    # inside the window every send slot is >= 0 and below send_slots, so the
+    # TDMA arrivals and the decisions repeat every `period` AP slots
+    period = math.lcm(*[node.role.schedule.frame_length for node in tdma])
+    block = BLOCK_SLOTS - BLOCK_SLOTS % period if period <= BLOCK_SLOTS else BLOCK_SLOTS
     members = [n.id for n in scenario.model_aware_nodes]
+    policy = None
+    sent = 0
     if members:
         policy = build_model_aware_policy(scenario)
-        ma_delay = policy.delay.slots
         # the gateway's transmit decisions before the window set whose turn it starts with
-        sent = 0
         if len(members) > 1 and policy.default_action is Action.TRANSMIT:
-            sent = _transmit_decisions_before(policy, start - ma_delay)
+            sent = _transmit_decisions_before(policy, start - policy.delay.slots, period)
 
     successes = collisions = cross = single = 0
     per_node = {node.id: 0 for node in sorted(scenario.nodes, key=lambda n: n.id)}
-    tdma = scenario.tdma_nodes
     # each block's draws land in buffers made once per run: a draw buffer per
     # worker, partial counts per helper and one send-mask row per ALOHA node
-    cap = min(BLOCK_SLOTS, horizon)
-    workers = WORKERS if cap * len(aloha) >= PARALLEL_DRAWS else 1
+    cap = min(block, horizon)
+    # the threshold counts BLOCK_SLOTS, so the choice does not hang on the frames
+    workers = WORKERS if min(BLOCK_SLOTS, horizon) * len(aloha) >= PARALLEL_DRAWS else 1
     bufs = np.empty((workers, cap))
     partials = np.empty((workers - 1, cap), dtype=np.int32)
     masks = np.empty((len(aloha), cap), dtype=bool)
     chunks = [draws[w::workers] for w in range(workers)]
     pool = _helper_pool(workers - 1) if workers > 1 else None
-    for first in range(start, start + horizon, BLOCK_SLOTS):
-        n = min(BLOCK_SLOTS, start + horizon - first)
-        counts = np.zeros(n, dtype=np.int32)
-        tdma_counts = np.zeros(n, dtype=np.int32)
-        if members:
-            decisions = policy.transmit_mask(first - ma_delay, n)
-            counts += decisions
-        arrivals: dict[NodeId, np.ndarray] = {}
-        for node in tdma:
-            segment = tdma_slot_mask(node.role.schedule, first - node.delay.slots, n)
-            tdma_counts += segment
-            counts += segment
-            arrivals[node.id] = segment
+    phase = None
+    for first in range(start, start + horizon, block):
+        n = min(block, start + horizon - first)
+        # a profile is built once per phase of the frames; the short last
+        # block of a phase already seen takes a prefix of its profile
+        if (first - start) % period != phase:
+            phase = (first - start) % period
+            profile = _BlockProfile.build(tdma, policy, len(members), first, n)
+        elif n < len(profile.counts):
+            profile = profile.prefix(n)
+        counts = profile.counts.copy()
         # the helpers run only while the calling thread draws, never while it
         # runs the interpreter-bound policy and TDMA code above
         block_masks = masks[:, :n]
@@ -189,24 +237,22 @@ def run(scenario: Scenario) -> SimReport:
         for job, partial in jobs:
             job.result()
             counts += partial
-        for row, node in enumerate(aloha):
-            arrivals[node.id] = block_masks[row]
 
         success_mask = counts == 1
         successes += int(np.count_nonzero(success_mask))
         collisions += int(np.count_nonzero(counts >= 2))
-        for node_id, segment in arrivals.items():
+        for node_id, segment in profile.arrivals.items():
             per_node[node_id] += int(np.count_nonzero(segment & success_mask))
-        if members:
-            # the k-th transmit decision from send slot 0 on goes to members[k mod K],
-            # and `sent` of them came before this block
-            won, k = success_mask[decisions], len(members)
-            for turn, member in enumerate(members):
-                per_node[member] += int(np.count_nonzero(won[(turn - sent) % k::k]))
-            sent += len(won)
-        block_cross = int(np.count_nonzero(tdma_counts >= 2))
-        cross += block_cross
-        single += int(np.count_nonzero(tdma_counts)) - block_cross
+        for row, node in enumerate(aloha):
+            per_node[node.id] += int(np.count_nonzero(block_masks[row] & success_mask))
+        # the k-th transmit decision from send slot 0 on goes to members[k mod K],
+        # and `sent` of them came before this block
+        for turn, positions in enumerate(profile.turns):
+            per_node[members[(sent + turn) % len(members)]] += int(
+                np.count_nonzero(success_mask[positions]))
+        sent += profile.decided
+        cross += profile.cross
+        single += profile.single
     empirical = successes / horizon
 
     oracle = deviation = None

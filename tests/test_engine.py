@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import math
 import os
@@ -20,7 +21,7 @@ from uwmac import engine
 from uwmac.engine import (SimReport, compare_to_oracle, default_tolerance, node_rng,
                           run, sweep)
 from uwmac.oracle import Branch, OracleResult, optimal_aloha
-from uwmac.policies import build_model_aware_policy
+from uwmac.policies import ModelAwarePolicy, build_model_aware_policy
 
 
 def _ma(node_id, delay, member=True):
@@ -107,11 +108,12 @@ def test_engine_matches_reference_on_generated_scenarios(scenario):
     _assert_matches_reference(scenario)
 
 
-@pytest.mark.parametrize("block", [1, 7, 1000])
+@pytest.mark.parametrize("block", [1, 7, 60, 1000])
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
 @given(scenario=small_scenarios(max_horizon=2500))
 def test_engine_matches_reference_across_block_boundaries(block, scenario):
-    # the window, the warm-up and the gateway's turn all straddle blocks
+    # the window, the warm-up and the gateway's turn all straddle blocks; every
+    # lcm of frames up to 5 divides 60, so at 60 each block reuses one profile
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(engine, "BLOCK_SLOTS", block)
         _assert_matches_reference(scenario)
@@ -232,6 +234,28 @@ def test_an_error_in_a_helper_reaches_the_caller(monkeypatch):
     assert run(_crowd()) == threaded
 
 
+def test_block_profile_is_built_once_per_phase(monkeypatch):
+    # frames 5 and 3 repeat every 15 AP slots, so every block of the window
+    # starts at phase 0 and the short last block takes a prefix of one profile
+    calls = collections.Counter()
+
+    def counted(name, function):
+        def wrapper(*args):
+            calls[name] += 1
+            return function(*args)
+        return wrapper
+
+    monkeypatch.setattr(engine, "tdma_slot_mask", counted("tdma", engine.tdma_slot_mask))
+    monkeypatch.setattr(ModelAwarePolicy, "transmit_mask",
+                        counted("policy", ModelAwarePolicy.transmit_mask))
+    nodes = (_ma(0, 2), _ma(1, 2), _ma(2, 2), _tdma(3, 1, 5, {0}), _tdma(4, 0, 3, {1}))
+    for blocks in (2, 20):
+        calls.clear()
+        report = run(Scenario(nodes, horizon=blocks * engine.BLOCK_SLOTS, seed=3))
+        assert min(report.per_node_successes[m] for m in range(3)) > 0
+        assert calls == {"tdma": 2, "policy": 1}
+
+
 @st.composite
 def warm_gateways(draw):
     """A transmit-branch gateway against 0 to 3 TDMA nodes with frames 1 to 9
@@ -255,9 +279,10 @@ def test_warmup_decision_count_matches_a_plain_walk(scenario, block):
     first_send = scenario.warmup_slots - policy.delay.slots
     walked = sum(int(np.count_nonzero(policy.transmit_mask(s, min(97, first_send - s))))
                  for s in range(0, first_send, 97))
+    period = math.lcm(*(schedule.frame_length for schedule, _ in policy.tdma))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(engine, "BLOCK_SLOTS", block)
-        assert engine._transmit_decisions_before(policy, first_send) == walked
+        assert engine._transmit_decisions_before(policy, first_send, period) == walked
 
 
 @pytest.mark.parametrize("skip", [0, 1, 7, 12345, 10**6])
