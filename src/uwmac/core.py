@@ -131,7 +131,7 @@ class Scenario:
     def __post_init__(self):
         object.__setattr__(self, "nodes", tuple(self.nodes))
 
-    @property
+    @cached_property
     def max_delay(self) -> int:
         return max((n.delay.slots for n in self.nodes), default=0)
 
@@ -168,7 +168,7 @@ class Scenario:
     def num_aloha(self) -> int:
         return len(self.aloha_nodes)
 
-    @property
+    @cached_property
     def aloha_probs(self) -> tuple[float, ...]:
         return tuple(n.role.q for n in self.aloha_nodes)
 

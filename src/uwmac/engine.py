@@ -14,21 +14,26 @@ for a gateway, from the policy's range query. Inside the window the TDMA
 arrivals and the decisions repeat every `period` AP slots, the lcm of the
 frames, so a block is cut at the largest multiple of the period that fits in
 BLOCK_SLOTS (at BLOCK_SLOTS when the period is longer) and they are built once
-per phase of the period, not once per block (`_BlockProfile`). Memory is
-O(BLOCK_SLOTS x nodes), whatever the horizon and warm-up; time is O(horizon),
-plus, for a gateway of several members in the transmit branch,
-O(min(warm-up, settle + 2 x period)) to count whose turn the window starts
-with (see `_transmit_decisions_before`).
+per phase of the period, not once per block (`_BlockProfile`). Each sender's
+sends in a block are kept at one bit per slot. Time is O(horizon), plus, for a
+gateway of several members in the transmit branch, O(min(warm-up, settle +
+2 x period)) to count whose turn the window starts with (see
+`_transmit_decisions_before`).
 
-When a full block holds at least PARALLEL_DRAWS ALOHA draws, each block's
-ALOHA sends are drawn on every CPU the process may use (WORKERS): ALOHA node i
-goes to chunk i mod WORKERS, the calling thread draws chunk 0 and persistent
-helper threads, started on the first such run, draw the others. Every
-generator is still drawn by one thread in block order, so a run stays a pure
-function of (scenario, seed), whatever the CPU count.
+The window's blocks are cut into R = min(WORKERS, blocks) contiguous ranges,
+WORKERS being the CPUs the process may use: range r takes blocks
+blocks x r // R onward. The calling thread counts range 0 and persistent
+helper threads, started on the first run of more than one block, count the
+others; the ranges' integer totals are merged in range order. Each range has
+its own copies of the generators, advanced to its first slot, so every
+generator is still drawn by exactly one thread, in slot order, and a run stays
+a pure function of (scenario, seed), whatever the CPU count. A run of one
+block, or on one CPU, starts no helper, and importing uwmac starts none. Memory
+is O(BLOCK_SLOTS x (1 + nodes / 8)) per range, whatever the horizon and warm-up.
 """
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 import os
@@ -45,18 +50,16 @@ from .policies import ModelAwarePolicy, build_model_aware_policy, tdma_slot_mask
 
 
 BLOCK_SLOTS = 1 << 16
-# a full block of at least this many ALOHA draws splits them across WORKERS threads
-PARALLEL_DRAWS = 1 << 18
 # the CPUs this process may run on
 WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
            else os.cpu_count() or 1)
 
-_pool = None   # (helper count, executor) of the draw helpers, started on first need
+_pool = None   # (helper count, executor) of the range helpers, started on first need
 _pool_lock = threading.Lock()
 
 
 def _helper_pool(helpers: int):
-    """The persistent executor of `helpers` draw threads; one of another size
+    """The persistent executor of `helpers` range threads; one of another size
     is shut down and replaced. concurrent.futures is imported here, not at
     module level, so that importing uwmac stays cheap."""
     global _pool
@@ -77,16 +80,6 @@ def _forget_pool() -> None:
 
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
-
-
-def _draw(chunk, draws: np.ndarray, masks: np.ndarray, counts: np.ndarray) -> None:
-    """For each (generator, q, row) of the chunk: refill `draws`, write the
-    node's send mask into masks[row] and add it to `counts`. Everything is
-    written in place, so a helper thread allocates no array."""
-    for rng, q, row in chunk:
-        mask = masks[row]
-        np.less(rng.random(out=draws), q, out=mask)
-        np.add(counts, mask, out=counts)
 
 
 def node_rng(seed: int, node_id: NodeId) -> np.random.Generator:
@@ -130,44 +123,116 @@ def _transmit_decisions_before(policy: ModelAwarePolicy, first_send: int, period
 
 
 class _BlockProfile:
-    """The part of a block of AP slots that the schedules alone fix: the
-    deterministic senders per slot, each TDMA node's arrivals and the model-aware
-    stream's transmit decisions, whose positions are split by relative turn
-    (turns[j] holds decisions j, j + k, j + 2k, ... of the block for k members)."""
+    """The part of a block of AP slots that the schedules alone fix, packed one
+    bit per slot into rows of 64-bit words: the sends of each TDMA node, then
+    of each relative turn of the model-aware stream's k members (turn j holds
+    decisions j, j + k, j + 2k, ... of the block), then the two planes of the
+    deterministic sender count: two or more, and one or more."""
 
-    def __init__(self, counts: np.ndarray, arrivals: dict[NodeId, np.ndarray],
-                 turns: list[np.ndarray]):
-        self.counts, self.arrivals, self.turns = counts, arrivals, turns
-        self.decided = sum(map(len, turns))
-        # a decision never shares its slot with a TDMA arrival, so every slot
-        # of two or more deterministic senders is a cross collision
-        self.cross = int(np.count_nonzero(counts >= 2))
-        self.single = int(np.count_nonzero(counts)) - self.cross - self.decided
+    def __init__(self, count: int, packed: np.ndarray, k: int):
+        self.count, self.packed, self.k = count, packed, k
+        slots = np.add.reduce(np.bitwise_count(packed.view(np.uint64)), axis=1).tolist()
+        self.decided = sum(slots[-2 - k:-2])
+        # every slot of two or more deterministic senders is a cross collision
+        self.cross, busy = slots[-2:]
+        self.single = busy - self.cross - self.decided
 
     @classmethod
     def build(cls, tdma: Sequence, policy: ModelAwarePolicy | None, k: int,
               first: int, count: int) -> _BlockProfile:
-        """The profile of AP slots first .. first + count - 1 for a decision
-        stream whose k members take turns."""
-        counts = np.zeros(count, dtype=np.int32)
-        arrivals = {}
-        for node in tdma:
-            segment = tdma_slot_mask(node.role.schedule, first - node.delay.slots, count)
-            counts += segment
-            arrivals[node.id] = segment
-        turns = []
+        """The profile of AP slots first .. first + count - 1."""
+        turns = len(tdma)   # the row of turn 0
+        # whole 64-bit words of flags, false past `count`
+        senders = np.zeros((turns + k + 2, -(-count // 64) * 64), dtype=bool)
+        for row, node in enumerate(tdma):
+            senders[row, :count] = tdma_slot_mask(node.role.schedule, first - node.delay.slots,
+                                                  count)
         if policy is not None:
             decisions = policy.transmit_mask(first - policy.delay.slots, count)
-            counts += decisions
-            positions = decisions.nonzero()[0]
-            turns = [positions[j::k] for j in range(k)]
-        return cls(counts, arrivals, turns)
+            if k == 1:
+                senders[turns, :count] = decisions
+            else:
+                positions = decisions.nonzero()[0]
+                for turn in range(k):
+                    senders[turns + turn, positions[turn::k]] = True
+        np.logical_or.reduce(senders[:-2], axis=0, out=senders[-1])
+        # a decision never shares its slot with a TDMA arrival or with another
+        # decision, so only TDMA arrivals can make two deterministic senders
+        if turns > 1:
+            counts = np.add.reduce(senders[:turns], axis=0, dtype=np.int32)
+            np.greater_equal(counts, 2, out=senders[-2])
+        return cls(count, np.packbits(senders, axis=1), k)
 
     def prefix(self, count: int) -> _BlockProfile:
         """The profile of the first `count` slots of this one."""
-        arrivals = {node_id: segment[:count] for node_id, segment in self.arrivals.items()}
-        turns = [positions[:positions.searchsorted(count)] for positions in self.turns]
-        return _BlockProfile(self.counts[:count], arrivals, turns)
+        packed = self.packed.copy()
+        packed[:, count // 8] &= 0xFF00 >> count % 8 & 0xFF   # bits are big-endian
+        packed[:, -(-count // 8):] = 0
+        return _BlockProfile(count, packed, self.k)
+
+
+def _range_buffers(slots: int, rows: int) -> tuple:
+    """A range's buffers for blocks of up to `slots` AP slots: the draws, the
+    send flags, and `rows` rows of packed sends plus the two planes of a
+    `_BlockProfile`, in bytes that a whole number of 64-bit words holds."""
+    return (np.empty(slots), np.empty(slots, dtype=bool),
+            np.zeros((rows + 2, -(-slots // 64) * 8), dtype=np.uint8))
+
+
+def _count_range(window: tuple, begin: int, end: int, aloha: Sequence, buffers: tuple) -> tuple:
+    """Count AP slots begin .. end - 1, block by block.
+
+    `window` is what every range shares, read only: (start, block, period,
+    tdma nodes, policy, gateway members k, profile of the window's first
+    block). `aloha` holds each ALOHA node's (generator at slot `begin`, q).
+    `buffers` come from `_range_buffers`, made by the caller and written in
+    place: the ALOHA nodes' sends, then a profile's rows. Returns
+    (successes, collisions, cross, single, successes per row, decisions):
+    the rows are the ALOHA nodes, the TDMA nodes, then turn j of the range's
+    decisions.
+    """
+    start, block, period, tdma, policy, k, profile = window
+    draws, send_flags, packed = buffers
+    words, first_fixed = packed.view(np.uint64), len(aloha)
+    fixed = first_fixed + len(tdma)   # the row of turn 0
+    totals = [0] * (fixed + k)
+    collisions = cross = single = decided = 0
+    phase = 0
+    for first in range(begin, end, block):
+        n = min(block, end - first)
+        # a profile is built once per phase of the frames; the short last
+        # block of a phase already seen takes a prefix of its profile
+        if (first - start) % period != phase:
+            phase = (first - start) % period
+            profile = _BlockProfile.build(tdma, policy, k, first, n)
+        elif n < profile.count:
+            profile = profile.prefix(n)
+        flags, size = send_flags[:n], -(-n // 8)
+        if n < block and first > begin:
+            packed[:, size:] = 0   # the bits that the longer blocks before left there
+        packed[first_fixed:, :size] = profile.packed[:, :size]
+        twos, ones = packed[-2, :size], packed[-1, :size]
+        for row, (rng, q) in enumerate(aloha):
+            np.less(rng.random(out=draws[:n]), q, out=flags)
+            sends = np.packbits(flags)
+            packed[row, :size] = sends
+            # the sender count's planes saturate at two
+            twos |= ones & sends
+            ones |= sends
+        ones ^= twos   # the slots of exactly one sender
+        # a sender's successes are its sends in those slots
+        np.bitwise_and(words[:-2], words[-1], out=words[:-2])
+        won = np.add.reduce(np.bitwise_count(words[:-1]), axis=1).tolist()
+        collisions += won[-1]
+        for row in range(fixed):
+            totals[row] += won[row]
+        for turn in range(k):
+            totals[fixed + (decided + turn) % k] += won[fixed + turn]
+        decided += profile.decided
+        cross += profile.cross
+        single += profile.single
+    # every success slot has exactly one sender
+    return sum(totals), collisions, cross, single, totals, decided
 
 
 def run(scenario: Scenario) -> SimReport:
@@ -182,77 +247,68 @@ def run(scenario: Scenario) -> SimReport:
         raise ValidationError(errors)
     start, horizon = scenario.warmup_slots, scenario.horizon
     # arrival at AP slot a came from send slot a - d; start >= max delay
-    aloha = scenario.aloha_nodes
-    draws = []   # (generator, q, send-mask row) of each ALOHA node
-    for row, node in enumerate(aloha):
+    aloha = []   # (generator, q) of each ALOHA node
+    for node in scenario.aloha_nodes:
         rng = node_rng(scenario.seed, node.id)
         rng.bit_generator.advance(start - node.delay.slots)   # the unmeasured draws
-        draws.append((rng, node.role.q, row))
+        aloha.append((rng, node.role.q))
     tdma = scenario.tdma_nodes
     # inside the window every send slot is >= 0 and below send_slots, so the
     # TDMA arrivals and the decisions repeat every `period` AP slots
     period = math.lcm(*[node.role.schedule.frame_length for node in tdma])
     block = BLOCK_SLOTS - BLOCK_SLOTS % period if period <= BLOCK_SLOTS else BLOCK_SLOTS
     members = [n.id for n in scenario.model_aware_nodes]
+    k = len(members)
     policy = None
     sent = 0
     if members:
         policy = build_model_aware_policy(scenario)
         # the gateway's transmit decisions before the window set whose turn it starts with
-        if len(members) > 1 and policy.default_action is Action.TRANSMIT:
+        if k > 1 and policy.default_action is Action.TRANSMIT:
             sent = _transmit_decisions_before(policy, start - policy.delay.slots, period)
 
-    successes = collisions = cross = single = 0
-    per_node = {node.id: 0 for node in sorted(scenario.nodes, key=lambda n: n.id)}
-    # each block's draws land in buffers made once per run: a draw buffer per
-    # worker, partial counts per helper and one send-mask row per ALOHA node
     cap = min(block, horizon)
-    # the threshold counts BLOCK_SLOTS, so the choice does not hang on the frames
-    workers = WORKERS if min(BLOCK_SLOTS, horizon) * len(aloha) >= PARALLEL_DRAWS else 1
-    bufs = np.empty((workers, cap))
-    partials = np.empty((workers - 1, cap), dtype=np.int32)
-    masks = np.empty((len(aloha), cap), dtype=bool)
-    chunks = [draws[w::workers] for w in range(workers)]
-    pool = _helper_pool(workers - 1) if workers > 1 else None
-    phase = None
-    for first in range(start, start + horizon, block):
-        n = min(block, start + horizon - first)
-        # a profile is built once per phase of the frames; the short last
-        # block of a phase already seen takes a prefix of its profile
-        if (first - start) % period != phase:
-            phase = (first - start) % period
-            profile = _BlockProfile.build(tdma, policy, len(members), first, n)
-        elif n < len(profile.counts):
-            profile = profile.prefix(n)
-        counts = profile.counts.copy()
-        # the helpers run only while the calling thread draws, never while it
-        # runs the interpreter-bound policy and TDMA code above
-        block_masks = masks[:, :n]
-        jobs = []
-        for chunk, buf, partial in zip(chunks[1:], bufs[1:], partials):
-            partial = partial[:n]
-            partial.fill(0)
-            jobs.append((pool.submit(_draw, chunk, buf[:n], block_masks, partial), partial))
-        _draw(chunks[0], bufs[0, :n], block_masks, counts)
-        for job, partial in jobs:
-            job.result()
-            counts += partial
+    window = (start, block, period, tdma, policy, k,
+              _BlockProfile.build(tdma, policy, k, start, cap))
+    rows = len(aloha) + len(tdma) + k
+    # range r counts blocks blocks * r // ranges onward; the calling thread
+    # counts range 0 after handing the others to the helpers
+    blocks = -(-horizon // block)
+    ranges = min(WORKERS, blocks)
+    bounds = [start + blocks * r // ranges * block for r in range(ranges)] + [start + horizon]
+    pool = _helper_pool(WORKERS - 1) if ranges > 1 else None
+    jobs = []
+    try:
+        for begin, end in zip(bounds[1:], bounds[2:]):
+            copies = []
+            for rng, q in aloha:
+                rng = copy.deepcopy(rng)
+                rng.bit_generator.advance(begin - start)
+                copies.append((rng, q))
+            jobs.append(pool.submit(_count_range, window, begin, end, copies,
+                                    _range_buffers(cap, rows)))
+        counted = [_count_range(window, start, bounds[1], aloha, _range_buffers(cap, rows))]
+    finally:
+        # no helper outlives the run, even when range 0 fails
+        for job in jobs:
+            job.exception()
+    for job in jobs:
+        counted.append(job.result())
 
-        success_mask = counts == 1
-        successes += int(np.count_nonzero(success_mask))
-        collisions += int(np.count_nonzero(counts >= 2))
-        for node_id, segment in profile.arrivals.items():
-            per_node[node_id] += int(np.count_nonzero(segment & success_mask))
-        for row, node in enumerate(aloha):
-            per_node[node.id] += int(np.count_nonzero(block_masks[row] & success_mask))
-        # the k-th transmit decision from send slot 0 on goes to members[k mod K],
-        # and `sent` of them came before this block
-        for turn, positions in enumerate(profile.turns):
-            per_node[members[(sent + turn) % len(members)]] += int(
-                np.count_nonzero(success_mask[positions]))
-        sent += profile.decided
-        cross += profile.cross
-        single += profile.single
+    successes = collisions = cross = single = 0
+    per_node = dict.fromkeys(range(len(scenario.nodes)), 0)   # the ids are 0 .. n - 1
+    for got, lost, crossed, singles, totals, decided in counted:
+        successes += got
+        collisions += lost
+        cross += crossed
+        single += singles
+        for node, count in zip((*scenario.aloha_nodes, *tdma), totals):
+            per_node[node.id] += count
+        # transmit decision i from send slot 0 on goes to members[i mod k],
+        # and `sent` of them came before this range
+        for turn, count in enumerate(totals[rows - k:]):
+            per_node[members[(sent + turn) % k]] += count
+        sent += decided
     empirical = successes / horizon
 
     oracle = deviation = None

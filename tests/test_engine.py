@@ -120,14 +120,14 @@ def test_engine_matches_reference_across_block_boundaries(block, scenario):
 
 
 @pytest.mark.parametrize("workers", [2, 3])
-@pytest.mark.parametrize("block", [1, 7, 1000])
+@pytest.mark.parametrize("block", [1, 7, 60, 1000])
 @settings(max_examples=25, derandomize=True, database=None, deadline=None)
 @given(scenario=small_scenarios(max_horizon=1200))
 def test_threaded_draws_match_one_thread_and_the_reference(block, workers, scenario):
-    # every block with an ALOHA node splits its draws across the helper threads
+    # small blocks cut the window into `workers` ranges, counted on the helper
+    # threads; the ranges start at any phase of the frames and turn of the gateway
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(engine, "BLOCK_SLOTS", block)
-        patch.setattr(engine, "PARALLEL_DRAWS", 1)
         patch.setattr(engine, "WORKERS", 1)
         serial = run(scenario)
         patch.setattr(engine, "WORKERS", workers)
@@ -140,10 +140,10 @@ def _helper_threads():
 
 
 def _crowd():
-    """Eight ALOHA nodes over two full blocks: past the parallel threshold."""
+    """Eight ALOHA nodes over two full blocks: two ranges at two or more workers."""
     scenario = Scenario((_ma(0, 1), *(_aloha(i, i % 3, 0.02) for i in range(1, 9))),
                         horizon=2 * engine.BLOCK_SLOTS, seed=4)
-    assert scenario.num_aloha * engine.BLOCK_SLOTS >= engine.PARALLEL_DRAWS
+    assert -(-scenario.horizon // engine.BLOCK_SLOTS) == 2
     return scenario
 
 
@@ -202,7 +202,7 @@ def test_a_forked_child_starts_its_own_helpers(monkeypatch):
     assert os.waitstatus_to_exitcode(status[1]) == 0
 
 
-def test_a_run_below_the_threshold_starts_no_helper(monkeypatch):
+def test_a_one_block_run_starts_no_helper(monkeypatch):
     def no_pool(helpers):
         raise AssertionError(f"asked for {helpers} helper threads")
 
@@ -217,21 +217,81 @@ def test_a_run_below_the_threshold_starts_no_helper(monkeypatch):
 
 def test_an_error_in_a_helper_reaches_the_caller(monkeypatch):
     monkeypatch.setattr(engine, "WORKERS", 2)
-    draw = engine._draw
+    count_range = engine._count_range
 
     def failing_in_helpers(*args):
         if threading.current_thread().name.startswith("uwmac-draws"):
             raise RuntimeError("draw failed")
-        draw(*args)
+        return count_range(*args)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(engine, "_draw", failing_in_helpers)
+        patch.setattr(engine, "_count_range", failing_in_helpers)
         with pytest.raises(RuntimeError, match="draw failed"):
             run(_crowd())
     # the pool keeps working after a failed run
     threaded = run(_crowd())
     monkeypatch.setattr(engine, "WORKERS", 1)
     assert run(_crowd()) == threaded
+
+
+def test_no_helper_outlives_a_failed_run(monkeypatch):
+    # range 0 fails at once on the calling thread while a helper still counts
+    monkeypatch.setattr(engine, "WORKERS", 2)
+    finished = threading.Event()
+
+    def slow_helper_failing_caller(*args):
+        if not threading.current_thread().name.startswith("uwmac-draws"):
+            raise RuntimeError("range 0 failed")
+        time.sleep(0.2)
+        finished.set()
+
+    monkeypatch.setattr(engine, "_count_range", slow_helper_failing_caller)
+    with pytest.raises(RuntimeError, match="range 0 failed"):
+        run(_crowd())
+    assert finished.is_set()
+
+
+@pytest.mark.parametrize("blocks", [2, 5])
+def test_a_run_counts_one_range_per_worker(monkeypatch, blocks):
+    # a transmit-branch gateway against frames 5 and 3: the ranges split its
+    # decision stream, so each range's turns must be merged at the right member
+    nodes = (_ma(0, 2), _ma(1, 2), _ma(2, 2), _tdma(3, 1, 5, {0}), _tdma(4, 0, 3, {1}),
+             _aloha(5, 3, 0.05), _aloha(6, 1, 0.1))
+    scenario = Scenario(nodes, horizon=blocks * engine.BLOCK_SLOTS, seed=12)
+    count_range = engine._count_range
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1])
+        return count_range(*args)
+
+    monkeypatch.setattr(engine, "_count_range", counted)
+    # frames 5 and 3 cut blocks at a multiple of 15 AP slots
+    block = engine.BLOCK_SLOTS - engine.BLOCK_SLOTS % 15
+    window_blocks = -(-scenario.horizon // block)
+    reports = {}
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(engine, "WORKERS", workers)
+        calls.clear()
+        reports[workers] = run(scenario)
+        assert len(calls) == min(workers, window_blocks)
+    assert reports[1].oracle.chosen_branch is Branch.TRANSMIT
+    assert reports[2] == reports[1] and reports[3] == reports[1]
+
+
+def test_run_memory_does_not_grow_with_the_ranges(monkeypatch):
+    # each range keeps its senders' masks at one bit per slot
+    monkeypatch.setattr(engine, "WORKERS", 3)
+    scenario = Scenario((_ma(0, 1), *(_aloha(i, i % 4, 0.01) for i in range(1, 49))),
+                        horizon=4 * engine.BLOCK_SLOTS, seed=5)
+    run(scenario)   # the helpers start outside the measurement
+    tracemalloc.start()
+    try:
+        run(scenario)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 48 * engine.BLOCK_SLOTS
 
 
 def test_block_profile_is_built_once_per_phase(monkeypatch):
