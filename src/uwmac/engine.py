@@ -30,6 +30,9 @@ generator is still drawn by exactly one thread, in slot order, and a run stays
 a pure function of (scenario, seed), whatever the CPU count. A run of one
 block, or on one CPU, starts no helper, and importing uwmac starts none. Memory
 is O(BLOCK_SLOTS x (1 + nodes / 8)) per range, whatever the horizon and warm-up.
+With a period of at most BLOCK_SLOTS every range reuses the first block's
+profile, built on the calling thread; with a longer one each range builds its
+own profiles, so the helpers then call `policy.transmit_mask` too.
 """
 from __future__ import annotations
 
@@ -68,7 +71,7 @@ def _helper_pool(helpers: int):
             from concurrent.futures import ThreadPoolExecutor
             if _pool is not None:
                 _pool[1].shutdown()
-            _pool = helpers, ThreadPoolExecutor(helpers, thread_name_prefix="uwmac-draws")
+            _pool = helpers, ThreadPoolExecutor(helpers, thread_name_prefix="uwmac-ranges")
         return _pool[1]
 
 

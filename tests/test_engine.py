@@ -136,7 +136,7 @@ def test_threaded_draws_match_one_thread_and_the_reference(block, workers, scena
 
 
 def _helper_threads():
-    return [t for t in threading.enumerate() if t.name.startswith("uwmac-draws")]
+    return [t for t in threading.enumerate() if t.name.startswith("uwmac-ranges")]
 
 
 def _crowd():
@@ -220,13 +220,13 @@ def test_an_error_in_a_helper_reaches_the_caller(monkeypatch):
     count_range = engine._count_range
 
     def failing_in_helpers(*args):
-        if threading.current_thread().name.startswith("uwmac-draws"):
-            raise RuntimeError("draw failed")
+        if threading.current_thread().name.startswith("uwmac-ranges"):
+            raise RuntimeError("range failed")
         return count_range(*args)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(engine, "_count_range", failing_in_helpers)
-        with pytest.raises(RuntimeError, match="draw failed"):
+        with pytest.raises(RuntimeError, match="range failed"):
             run(_crowd())
     # the pool keeps working after a failed run
     threaded = run(_crowd())
@@ -240,7 +240,7 @@ def test_no_helper_outlives_a_failed_run(monkeypatch):
     finished = threading.Event()
 
     def slow_helper_failing_caller(*args):
-        if not threading.current_thread().name.startswith("uwmac-draws"):
+        if not threading.current_thread().name.startswith("uwmac-ranges"):
             raise RuntimeError("range 0 failed")
         time.sleep(0.2)
         finished.set()
