@@ -21,7 +21,8 @@ GOLDEN = Path(__file__).resolve().parent
 
 
 def cli_cases() -> dict[str, list[str]]:
-    """run, verify and the verify negative control on every scenario file."""
+    """run, verify and the verify negative control on every scenario file,
+    plus sweep CSV on stdout: seed last, seed first, and a p grid."""
     cases = {}
     for path in sorted((ROOT / "demos" / "scenarios").glob("*.json")):
         scenario = str(path.relative_to(ROOT))
@@ -29,6 +30,12 @@ def cli_cases() -> dict[str, list[str]]:
         cases[f"verify-{path.stem}"] = ["verify", "--scenario", scenario, "--horizon", "12"]
         cases[f"verify-corrupt-{path.stem}"] = ["verify", "--scenario", scenario,
                                                 "--horizon", "12", "--corrupt-policy"]
+    sweep = ["sweep", "--slots", "2000", "--scenario"]
+    mixed, q, seeds = "demos/scenarios/mixed.json", "q=0.1,0.3,0.6", "seed=3,-1,7"
+    cases["sweep-mixed"] = [*sweep, mixed, "--sweep", q, "--sweep", seeds]
+    cases["sweep-seed-first-mixed"] = [*sweep, mixed, "--sweep", seeds, "--sweep", q]
+    cases["sweep-pure_tdma"] = [*sweep, "demos/scenarios/pure_tdma.json",
+                                "--sweep", "p=0,0.2,0.3,0.6"]
     return cases
 
 
