@@ -197,6 +197,13 @@ def gateway_strict_errors(scenario: Scenario) -> list[str]:
     return errors
 
 
+def seed_errors(seed: int) -> list[str]:
+    """The seed's violation, if any: a seed is an unsigned 64-bit integer."""
+    if 0 <= seed < 2 ** 64:
+        return []
+    return [f"seed must be an unsigned 64-bit integer, got {seed}"]
+
+
 def validate_scenario(scenario: Scenario) -> list[str]:
     """Return every scenario-level violation (empty list when valid)."""
     if not scenario.nodes:
@@ -213,8 +220,7 @@ def validate_scenario(scenario: Scenario) -> list[str]:
         elif scenario.warmup < scenario.max_delay:
             errors.append(f"warmup {scenario.warmup} is below the max node delay "
                           f"{scenario.max_delay}; early AP slots would miss arrivals")
-    if not 0 <= scenario.seed < 2 ** 64:
-        errors.append(f"seed must be an unsigned 64-bit integer, got {scenario.seed}")
+    errors += seed_errors(scenario.seed)
     errors += gateway_strict_errors(scenario)
     return errors
 

@@ -33,6 +33,15 @@ is O(BLOCK_SLOTS x (1 + nodes / 8)) per range, whatever the horizon and warm-up.
 With a period of at most BLOCK_SLOTS every range reuses the first block's
 profile, built on the calling thread; with a longer one each range builds its
 own profiles, so the helpers then call `policy.transmit_mask` too.
+
+A run is `_plan` then `_simulate`. `_plan` does all that the scenario fixes
+whatever its seed: validation, the period and block, the policy, the gateway's
+decisions before the window and the first block's profile, held in a `_Plan`.
+`_simulate` makes the ALOHA generators at the seed, counts the ranges and
+attaches the oracle. `sweep` keeps its last valid plan: a point whose
+parameters other than `seed` equal those that built it checks only its seed
+(`seed_errors`, the rule `validate_scenario` applies) and simulates that plan.
+So a grid that lists `seed` last builds one plan per run of seeds.
 """
 from __future__ import annotations
 
@@ -46,8 +55,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (Action, AlohaRole, ContractViolation, NodeId, Scenario,
-                   TdmaRole, TdmaSchedule, ValidationError, validate_scenario)
+from .core import (Action, AlohaRole, ContractViolation, NodeId, NodeSpec, Scenario,
+                   TdmaRole, TdmaSchedule, ValidationError, seed_errors,
+                   validate_scenario)
 from .oracle import OracleResult, optimal_mixed
 from .policies import ModelAwarePolicy, build_model_aware_policy, tdma_slot_mask
 
@@ -182,19 +192,62 @@ def _range_buffers(slots: int, rows: int) -> tuple:
             np.zeros((rows + 2, -(-slots // 64) * 8), dtype=np.uint8))
 
 
-def _count_range(window: tuple, begin: int, end: int, aloha: Sequence, buffers: tuple) -> tuple:
+@dataclass(frozen=True)
+class _Plan:
+    """What a valid scenario fixes whatever its seed: everything a run does
+    before it makes its first ALOHA generator. Ranges read it and never write it."""
+
+    nodes: int                      # the ids are 0 .. nodes - 1
+    aloha: tuple                    # (id, delay slots, q) of each ALOHA node, by id
+    tdma: tuple[NodeSpec, ...]
+    start: int                      # the first measured AP slot
+    horizon: int
+    period: int                     # the lcm of the TDMA frames
+    block: int                      # AP slots per block
+    policy: ModelAwarePolicy | None
+    members: tuple[NodeId, ...]     # the model-aware stream's members, by id
+    sent: int                       # its transmit decisions before the window
+    profile: _BlockProfile          # of the window's first block
+
+
+def _plan(scenario: Scenario) -> _Plan:
+    """Validate `scenario` and build everything of its run but the draws."""
+    errors = validate_scenario(scenario)
+    if errors:
+        raise ValidationError(errors)
+    start, horizon = scenario.warmup_slots, scenario.horizon
+    tdma = scenario.tdma_nodes
+    # inside the window every send slot is >= 0 and below send_slots, so the
+    # TDMA arrivals and the decisions repeat every `period` AP slots
+    period = math.lcm(*[node.role.schedule.frame_length for node in tdma])
+    block = BLOCK_SLOTS - BLOCK_SLOTS % period if period <= BLOCK_SLOTS else BLOCK_SLOTS
+    members = tuple(n.id for n in scenario.model_aware_nodes)
+    k = len(members)
+    policy = None
+    sent = 0
+    if members:
+        policy = build_model_aware_policy(scenario)
+        # the gateway's transmit decisions before the window set whose turn it starts with
+        if k > 1 and policy.default_action is Action.TRANSMIT:
+            sent = _transmit_decisions_before(policy, start - policy.delay.slots, period)
+    return _Plan(len(scenario.nodes),
+                 tuple((n.id, n.delay.slots, n.role.q) for n in scenario.aloha_nodes),
+                 tdma, start, horizon, period, block, policy, members, sent,
+                 _BlockProfile.build(tdma, policy, k, start, min(block, horizon)))
+
+
+def _count_range(plan: _Plan, begin: int, end: int, aloha: Sequence, buffers: tuple) -> tuple:
     """Count AP slots begin .. end - 1, block by block.
 
-    `window` is what every range shares, read only: (start, block, period,
-    tdma nodes, policy, gateway members k, profile of the window's first
-    block). `aloha` holds each ALOHA node's (generator at slot `begin`, q).
-    `buffers` come from `_range_buffers`, made by the caller and written in
-    place: the ALOHA nodes' sends, then a profile's rows. Returns
-    (successes, collisions, cross, single, successes per row, decisions):
-    the rows are the ALOHA nodes, the TDMA nodes, then turn j of the range's
-    decisions.
+    `aloha` holds each ALOHA node's (generator at slot `begin`, q). `buffers`
+    come from `_range_buffers`, made by the caller and written in place: the
+    ALOHA nodes' sends, then a profile's rows. Returns (successes,
+    collisions, cross, single, successes per row, decisions): the rows are
+    the ALOHA nodes, the TDMA nodes, then turn j of the range's decisions.
     """
-    start, block, period, tdma, policy, k, profile = window
+    start, block, period, tdma, policy = (plan.start, plan.block, plan.period,
+                                          plan.tdma, plan.policy)
+    k, profile = len(plan.members), plan.profile
     draws, send_flags, packed = buffers
     words, first_fixed = packed.view(np.uint64), len(aloha)
     fixed = first_fixed + len(tdma)   # the row of turn 0
@@ -245,40 +298,25 @@ def run(scenario: Scenario) -> SimReport:
     node, the closed-form optimum over the measured window's TDMA arrival
     profile is attached along with the deviation.
     """
-    errors = validate_scenario(scenario)
-    if errors:
-        raise ValidationError(errors)
-    start, horizon = scenario.warmup_slots, scenario.horizon
+    return _simulate(_plan(scenario), scenario.seed)
+
+
+def _simulate(plan: _Plan, seed: int) -> SimReport:
+    """The run of `plan`'s scenario at `seed`, a valid seed."""
+    start, horizon, members = plan.start, plan.horizon, plan.members
     # arrival at AP slot a came from send slot a - d; start >= max delay
     aloha = []   # (generator, q) of each ALOHA node
-    for node in scenario.aloha_nodes:
-        rng = node_rng(scenario.seed, node.id)
-        rng.bit_generator.advance(start - node.delay.slots)   # the unmeasured draws
-        aloha.append((rng, node.role.q))
-    tdma = scenario.tdma_nodes
-    # inside the window every send slot is >= 0 and below send_slots, so the
-    # TDMA arrivals and the decisions repeat every `period` AP slots
-    period = math.lcm(*[node.role.schedule.frame_length for node in tdma])
-    block = BLOCK_SLOTS - BLOCK_SLOTS % period if period <= BLOCK_SLOTS else BLOCK_SLOTS
-    members = [n.id for n in scenario.model_aware_nodes]
-    k = len(members)
-    policy = None
-    sent = 0
-    if members:
-        policy = build_model_aware_policy(scenario)
-        # the gateway's transmit decisions before the window set whose turn it starts with
-        if k > 1 and policy.default_action is Action.TRANSMIT:
-            sent = _transmit_decisions_before(policy, start - policy.delay.slots, period)
-
-    cap = min(block, horizon)
-    window = (start, block, period, tdma, policy, k,
-              _BlockProfile.build(tdma, policy, k, start, cap))
-    rows = len(aloha) + len(tdma) + k
+    for node_id, delay, q in plan.aloha:
+        rng = node_rng(seed, node_id)
+        rng.bit_generator.advance(start - delay)   # the unmeasured draws
+        aloha.append((rng, q))
+    cap = min(plan.block, horizon)
+    rows = len(aloha) + len(plan.tdma) + len(members)
     # range r counts blocks blocks * r // ranges onward; the calling thread
     # counts range 0 after handing the others to the helpers
-    blocks = -(-horizon // block)
+    blocks = -(-horizon // plan.block)
     ranges = min(WORKERS, blocks)
-    bounds = [start + blocks * r // ranges * block for r in range(ranges)] + [start + horizon]
+    bounds = [start + blocks * r // ranges * plan.block for r in range(ranges)] + [start + horizon]
     pool = _helper_pool(WORKERS - 1) if ranges > 1 else None
     jobs = []
     try:
@@ -288,9 +326,9 @@ def run(scenario: Scenario) -> SimReport:
                 rng = copy.deepcopy(rng)
                 rng.bit_generator.advance(begin - start)
                 copies.append((rng, q))
-            jobs.append(pool.submit(_count_range, window, begin, end, copies,
+            jobs.append(pool.submit(_count_range, plan, begin, end, copies,
                                     _range_buffers(cap, rows)))
-        counted = [_count_range(window, start, bounds[1], aloha, _range_buffers(cap, rows))]
+        counted = [_count_range(plan, start, bounds[1], aloha, _range_buffers(cap, rows))]
     finally:
         # no helper outlives the run, even when range 0 fails
         for job in jobs:
@@ -299,14 +337,16 @@ def run(scenario: Scenario) -> SimReport:
         counted.append(job.result())
 
     successes = collisions = cross = single = 0
-    per_node = dict.fromkeys(range(len(scenario.nodes)), 0)   # the ids are 0 .. n - 1
+    per_node = dict.fromkeys(range(plan.nodes), 0)
+    ids = [node_id for node_id, _, _ in plan.aloha] + [node.id for node in plan.tdma]
+    k, sent = len(members), plan.sent
     for got, lost, crossed, singles, totals, decided in counted:
         successes += got
         collisions += lost
         cross += crossed
         single += singles
-        for node, count in zip((*scenario.aloha_nodes, *tdma), totals):
-            per_node[node.id] += count
+        for node_id, count in zip(ids, totals):
+            per_node[node_id] += count
         # transmit decision i from send slot 0 on goes to members[i mod k],
         # and `sent` of them came before this range
         for turn, count in enumerate(totals[rows - k:]):
@@ -316,7 +356,8 @@ def run(scenario: Scenario) -> SimReport:
 
     oracle = deviation = None
     if members:
-        oracle = optimal_mixed(single / horizon, scenario.aloha_probs, cross / horizon)
+        probs = tuple(q for _, q in aloha)
+        oracle = optimal_mixed(single / horizon, probs, cross / horizon)
         deviation = abs(empirical - oracle.optimal_throughput)
     return SimReport(measured_slots=horizon, successes=successes,
                      collisions=collisions, idle=horizon - successes - collisions,
@@ -405,6 +446,8 @@ def sweep(base: Scenario, grid: Sequence[tuple[str, Sequence]]) -> list[SweepPoi
     """Run the cross product of the grid; points are independent and seeded
     deterministically from (base seed, point index).
 
+    A point whose parameters other than `seed` equal those that built the last
+    valid plan (`_plan`) reuses it: only its seed is checked and drawn.
     Grid-point failures are recorded on the point and the sweep continues.
     """
     grid = list(grid)
@@ -415,16 +458,27 @@ def sweep(base: Scenario, grid: Sequence[tuple[str, Sequence]]) -> list[SweepPoi
         raise ValidationError([f"unknown sweep parameter {name!r}; expected one of "
                                f"{', '.join(SWEEP_PARAMETERS)}" for name in unknown])
     names = [name for name, _ in grid]
+    repeated = dict.fromkeys(name for i, name in enumerate(names) if name in names[:i])
+    if repeated:
+        raise ValidationError([f"sweep parameter {name!r} given twice" for name in repeated])
+    fixed = [i for i, name in enumerate(names) if name != "seed"]
+    plan = key = None   # the last valid plan and the values but the seed it was built for
     points = []
     for index, combo in enumerate(itertools.product(*(values for _, values in grid))):
         params = dict(zip(names, combo))
         seed = int(params["seed"]) if "seed" in params else _derive_seed(base.seed, index)
+        values = [combo[i] for i in fixed]
         try:
-            scenario = base
-            for name, value in params.items():
-                scenario = _apply_parameter(scenario, name, value)
-            scenario = replace(scenario, seed=seed)
-            points.append(SweepPoint(index, params, seed, run(scenario), None))
+            if values != key:
+                scenario = base
+                for name, value in params.items():
+                    scenario = _apply_parameter(scenario, name, value)
+                plan, key = _plan(replace(scenario, seed=seed)), values
+            else:
+                errors = seed_errors(seed)
+                if errors:
+                    raise ValidationError(errors)
+            points.append(SweepPoint(index, params, seed, _simulate(plan, seed), None))
         except (ValidationError, ContractViolation) as exc:
             points.append(SweepPoint(index, params, seed, None, str(exc)))
     return points

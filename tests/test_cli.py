@@ -13,7 +13,8 @@ from hypothesis import given, settings, strategies as st
 from uwmac.cli import CSV_COLUMNS, main, parse_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
-# stdout and exit code of run and verify on every demos/scenarios file;
+# stdout and exit code of run and verify on every demos/scenarios file, and
+# of sweep on mixed.json and pure_tdma.json;
 # regenerate with tests/golden/make_golden.py only when output should change
 GOLDEN_CLI = json.loads((ROOT / "tests" / "golden" / "cli.json").read_text())
 
@@ -370,6 +371,15 @@ def test_sweep_bad_grid_spec_exits_2(tmp_path, capsys):
     assert main(["sweep", "--scenario", path, "--sweep", "q=0.1,abc"]) == 2
     assert "is not a number" in capsys.readouterr().err
     assert main(["sweep", "--scenario", path, "--sweep", "bogus=1"]) == 2
+
+
+def test_sweep_parameter_given_twice_exits_2(tmp_path, capsys):
+    path = _write(tmp_path, "single_aloha.json", SINGLE_ALOHA)
+    out = tmp_path / "twice.csv"
+    assert main(["sweep", "--scenario", path, "--sweep", "q=0.1,0.2", "--sweep", "q=0.3",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: sweep parameter 'q' given twice\n"
+    assert not out.exists()
 
 
 def test_verify_matches(tmp_path, capsys):

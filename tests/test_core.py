@@ -5,7 +5,7 @@ from reference_model import (ArrivalLedger, Outcome, SlotOutcome,
                              register_transmission, resolve_slot)
 from uwmac.core import (AlohaRole, ContractViolation, Delay, ModelAwareRole,
                         NodeSpec, Scenario, TdmaRole, TdmaSchedule,
-                        ValidationError, delay_from_distance,
+                        ValidationError, delay_from_distance, seed_errors,
                         validate_scenario)
 
 
@@ -159,6 +159,14 @@ def test_validate_scenario_collects_all_violations():
     joined = " ".join(errors)
     assert "dense" in joined and "horizon" in joined
     assert "warmup" in joined and "seed" in joined
+
+
+@pytest.mark.parametrize("seed, valid", [(0, True), (2 ** 64 - 1, True),
+                                         (-1, False), (2 ** 64, False)])
+def test_a_seed_is_an_unsigned_64_bit_integer(seed, valid):
+    expected = [] if valid else [f"seed must be an unsigned 64-bit integer, got {seed}"]
+    assert seed_errors(seed) == expected
+    assert validate_scenario(Scenario(nodes=(_ma(0, 0),), horizon=1, seed=seed)) == expected
 
 
 def test_validate_scenario_empty():

@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import itertools
 import math
 import os
 import signal
@@ -294,20 +295,22 @@ def test_run_memory_does_not_grow_with_the_ranges(monkeypatch):
     assert peak <= 2 * 48 * engine.BLOCK_SLOTS
 
 
+def _counted(calls, name, function):
+    """`function`, counting its calls in calls[name]."""
+    def wrapper(*args):
+        calls[name] += 1
+        return function(*args)
+    return wrapper
+
+
 def test_block_profile_is_built_once_per_phase(monkeypatch):
     # frames 5 and 3 repeat every 15 AP slots, so every block of the window
     # starts at phase 0 and the short last block takes a prefix of one profile
     calls = collections.Counter()
-
-    def counted(name, function):
-        def wrapper(*args):
-            calls[name] += 1
-            return function(*args)
-        return wrapper
-
-    monkeypatch.setattr(engine, "tdma_slot_mask", counted("tdma", engine.tdma_slot_mask))
+    monkeypatch.setattr(engine, "tdma_slot_mask",
+                        _counted(calls, "tdma", engine.tdma_slot_mask))
     monkeypatch.setattr(ModelAwarePolicy, "transmit_mask",
-                        counted("policy", ModelAwarePolicy.transmit_mask))
+                        _counted(calls, "policy", ModelAwarePolicy.transmit_mask))
     nodes = (_ma(0, 2), _ma(1, 2), _ma(2, 2), _tdma(3, 1, 5, {0}), _tdma(4, 0, 3, {1}))
     for blocks in (2, 20):
         calls.clear()
@@ -545,6 +548,102 @@ def test_sweep_rejects_unknown_parameter():
     base = Scenario((_ma(0, 1), _aloha(1, 0, 0.5)), horizon=100, seed=11)
     with pytest.raises(ValidationError):
         sweep(base, [("bogus", [1, 2])])
+
+
+def test_sweep_rejects_a_parameter_given_twice():
+    base = Scenario((_ma(0, 1), _aloha(1, 0, 0.5)), horizon=100, seed=11)
+    with pytest.raises(ValidationError, match="^sweep parameter 'q' given twice$"):
+        sweep(base, [("q", [0.1, 0.2]), ("seed", [1]), ("q", [0.3])])
+
+
+# bases for the sweep grids: a transmit-branch gateway, overlapping TDMA
+# arrivals with a silent-branch node, one TDMA node whose frame takes `p`, and
+# no model-aware node; the q values of the grids cross z = 0 on each
+SWEEP_BASES = {
+    "gateway": Scenario((_ma(0, 2), _ma(1, 2), _ma(2, 2), _tdma(3, 1, 5, {0}),
+                         _tdma(4, 0, 3, {1}), _aloha(5, 3, 0.05)), horizon=30, seed=8),
+    "overlap": Scenario((_ma(0, 0), _tdma(1, 0, 2, {0}), _tdma(2, 2, 2, {0}),
+                         _aloha(3, 1, 0.7)), horizon=30, seed=9),
+    "one_tdma": Scenario((_ma(0, 1), _tdma(1, 3, 4, {0}), _aloha(2, 0, 0.1),
+                          _aloha(3, 2, 0.2)), horizon=30, seed=10),
+    "no_model_aware": Scenario((_tdma(0, 1, 4, {1, 2}), _aloha(1, 0, 0.3)),
+                               horizon=30, seed=11),
+}
+
+
+@st.composite
+def sweep_grids(draw):
+    """Up to three of q, p, horizon and warmup with one or two values each,
+    repeats allowed, and a seed list last, first or not at all; seeds -1 and
+    2^64 are errors, p = 0.3 is a fractional slot count and a warm-up of 1 lies
+    below some bases' delays."""
+    values = {"q": [0.05, 0.3, 0.7, 0.9, 1.7], "p": [0.0, 0.25, 0.5, 0.75, 0.3],
+              "horizon": [1, 9, 40], "warmup": [4, 17, 1]}
+    names = draw(st.lists(st.sampled_from(sorted(values)), unique=True, max_size=3))
+    grid = [(name, draw(st.lists(st.sampled_from(values[name]), min_size=1, max_size=2)))
+            for name in names]
+    seeds = ("seed", draw(st.lists(st.sampled_from([3, 0, 2 ** 64 - 1, 7, -1, 2 ** 64]),
+                                   min_size=1, max_size=4)))
+    where = draw(st.sampled_from(["last", "first", "absent"]))
+    if where == "last":
+        return grid + [seeds]
+    if where == "first":
+        return [seeds] + grid
+    return grid or [seeds]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("base", sorted(SWEEP_BASES))
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(grid=sweep_grids())
+def test_sweep_equals_a_run_of_each_point(base, workers, grid):
+    # small blocks make the reused plans count several ranges
+    base = SWEEP_BASES[base]
+    names = [name for name, _ in grid]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "BLOCK_SLOTS", 7)
+        patch.setattr(engine, "WORKERS", workers)
+        points = sweep(base, grid)
+        combos = list(itertools.product(*(values for _, values in grid)))
+        assert [p.index for p in points] == list(range(len(combos)))
+        for point, combo in zip(points, combos):
+            assert point.params == dict(zip(names, combo))
+            seed = (int(point.params["seed"]) if "seed" in point.params
+                    else engine._derive_seed(base.seed, point.index))
+            assert point.seed == seed
+            report = error = None
+            try:
+                scenario = base
+                for name, value in point.params.items():
+                    scenario = engine._apply_parameter(scenario, name, value)
+                report = run(dataclasses.replace(scenario, seed=seed))
+            except (ValidationError, ContractViolation) as exc:
+                error = str(exc)
+            assert (point.report, point.error) == (report, error)
+
+
+def test_a_sweep_builds_one_plan_per_run_of_seeds(monkeypatch):
+    calls = collections.Counter()
+    monkeypatch.setattr(engine, "build_model_aware_policy",
+                        _counted(calls, "policy", engine.build_model_aware_policy))
+    monkeypatch.setattr(engine, "validate_scenario",
+                        _counted(calls, "validate", engine.validate_scenario))
+    base = Scenario((_ma(0, 1), _tdma(1, 2, 10, {0}), _aloha(2, 0, 0.3), _aloha(3, 1, 0.1)),
+                    horizon=300, seed=5)
+    q, p, seed = ("q", [0.2, 0.7]), ("p", [0.1, 0.2, 0.5]), ("seed", [1, 2, 3, 4])
+    seed_last = sweep(base, [q, p, seed])
+    assert calls == {"policy": 6, "validate": 6}
+    calls.clear()
+    seed_first = sweep(base, [seed, q, p])
+    assert calls == {"policy": 24, "validate": 24}
+
+    def by_params(points):
+        return {(point.params["q"], point.params["p"], point.seed): point.report
+                for point in points}
+
+    assert {r.oracle.chosen_branch for r in by_params(seed_last).values()} == set(Branch)
+    assert len(by_params(seed_last)) == 24
+    assert by_params(seed_first) == by_params(seed_last)
 
 
 def test_monte_carlo_consistency_four_sigma():
