@@ -7,36 +7,35 @@ perturbs the draws of the others. Metrics count AP slots in
 
 `run` walks that window in blocks of at most BLOCK_SLOTS AP slots. Each
 measured AP slot hears each node's send from exactly one earlier slot, so a
-block only needs every node's sends over one block-long range: TDMA sends from
-the schedule, ALOHA sends from the node's generator (its unmeasured draws
-skipped with `advance`), and the model-aware stream's sends, one sender even
-for a gateway, from the policy's range query. Inside the window the TDMA
-arrivals and the decisions repeat every `period` AP slots, the lcm of the
-frames, so a block is cut at the largest multiple of the period that fits in
-BLOCK_SLOTS (at BLOCK_SLOTS when the period is longer) and they are built once
-per phase of the period, not once per block (`_BlockProfile`). Each sender's
-sends in a block are kept at one bit per slot. Time is O(horizon), plus, for a
-gateway of several members in the transmit branch, O(min(warm-up, settle +
-2 x period)) to count whose turn the window starts with (see
-`_transmit_decisions_before`).
+block only needs every node's sends over one block-long range, kept at one bit
+per slot: TDMA sends from the schedule, ALOHA sends from the node's generator
+(its unmeasured draws skipped with `advance`), and the model-aware stream's,
+one sender even for a gateway. Its policy knows every schedule, so inside the
+window it transmits, in the transmit branch, in exactly the AP slots that no
+TDMA packet reaches: the decisions are read off the TDMA arrivals. Both repeat
+every `period` AP slots, the lcm of the frames, so a block is cut at the
+largest multiple of the period that fits in BLOCK_SLOTS (at BLOCK_SLOTS when
+the period is longer) and they are built once per phase of the period, not
+once per block (`_BlockProfile`). Time is O(horizon), plus, for a gateway of
+several members in the transmit branch, O(min(warm-up, settle + 2 x period))
+to count whose turn the window starts with (see `_transmit_decisions_before`).
 
 The window's blocks are cut into R = min(WORKERS, blocks) contiguous ranges,
 WORKERS being the CPUs the process may use: range r takes blocks
-blocks x r // R onward. The calling thread counts range 0 and persistent
-helper threads, started on the first run of more than one block, count the
-others; the ranges' integer totals are merged in range order. Each range has
-its own copies of the generators, advanced to its first slot, so every
-generator is still drawn by exactly one thread, in slot order, and a run stays
-a pure function of (scenario, seed), whatever the CPU count. A run of one
-block, or on one CPU, starts no helper, and importing uwmac starts none. Memory
-is O(BLOCK_SLOTS x (1 + nodes / 8)) per range, whatever the horizon and warm-up.
-With a period of at most BLOCK_SLOTS every range reuses the first block's
-profile, built on the calling thread; with a longer one each range builds its
-own profiles, so the helpers then call `policy.transmit_mask` too.
+blocks x r // R onward. The calling thread counts range 0, and R - 1 helper
+threads, started for the run and joined before it returns, count the others;
+the ranges' integer totals are merged in range order. A range reads only the
+plan and what the calling thread made for it: its buffers and its own fresh
+generators, advanced to its first slot. So every generator is drawn by exactly
+one thread, in slot order, and a run stays a pure function of (scenario,
+seed), whatever the CPU count. A run of one block, or on one CPU, starts no
+helper, and importing uwmac starts none. Memory is O(BLOCK_SLOTS x (1 +
+nodes / 8)) per range, whatever the horizon and warm-up.
 
 A run is `_plan` then `_simulate`. `_plan` does all that the scenario fixes
-whatever its seed: validation, the period and block, the policy, the gateway's
-decisions before the window and the first block's profile, held in a `_Plan`.
+whatever its seed: validation, the period and block, the policy's branch,
+the gateway's decisions before the window and the first block's profile, held
+in a `_Plan`.
 `_simulate` makes the ALOHA generators at the seed, counts the ranges and
 attaches the oracle. `sweep` keeps its last valid plan: a point whose
 parameters other than `seed` equal those that built it checks only its seed
@@ -45,11 +44,10 @@ So a grid that lists `seed` last builds one plan per run of seeds.
 """
 from __future__ import annotations
 
-import copy
 import itertools
 import math
+import numbers
 import os
-import threading
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -66,33 +64,6 @@ BLOCK_SLOTS = 1 << 16
 # the CPUs this process may run on
 WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
            else os.cpu_count() or 1)
-
-_pool = None   # (helper count, executor) of the range helpers, started on first need
-_pool_lock = threading.Lock()
-
-
-def _helper_pool(helpers: int):
-    """The persistent executor of `helpers` range threads; one of another size
-    is shut down and replaced. concurrent.futures is imported here, not at
-    module level, so that importing uwmac stays cheap."""
-    global _pool
-    with _pool_lock:
-        if _pool is None or _pool[0] != helpers:
-            from concurrent.futures import ThreadPoolExecutor
-            if _pool is not None:
-                _pool[1].shutdown()
-            _pool = helpers, ThreadPoolExecutor(helpers, thread_name_prefix="uwmac-ranges")
-        return _pool[1]
-
-
-def _forget_pool() -> None:
-    # a forked child has none of its parent's threads: it starts its own pool
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def node_rng(seed: int, node_id: NodeId) -> np.random.Generator:
@@ -140,7 +111,9 @@ class _BlockProfile:
     bit per slot into rows of 64-bit words: the sends of each TDMA node, then
     of each relative turn of the model-aware stream's k members (turn j holds
     decisions j, j + k, j + 2k, ... of the block), then the two planes of the
-    deterministic sender count: two or more, and one or more."""
+    deterministic sender count: two or more, and one or more. Inside the
+    window every TDMA send slot is >= 0, so the policy's transmit branch
+    transmits in exactly the slots that no TDMA row marks."""
 
     def __init__(self, count: int, packed: np.ndarray, k: int):
         self.count, self.packed, self.k = count, packed, k
@@ -151,30 +124,34 @@ class _BlockProfile:
         self.single = busy - self.cross - self.decided
 
     @classmethod
-    def build(cls, tdma: Sequence, policy: ModelAwarePolicy | None, k: int,
-              first: int, count: int) -> _BlockProfile:
-        """The profile of AP slots first .. first + count - 1."""
+    def build(cls, tdma: Sequence, transmit: bool, k: int, first: int,
+              count: int) -> _BlockProfile:
+        """The profile of AP slots first .. first + count - 1, for a model-aware
+        stream of k members that transmits, or stays silent, by `transmit`."""
         turns = len(tdma)   # the row of turn 0
-        # whole 64-bit words of flags, false past `count`
-        senders = np.zeros((turns + k + 2, -(-count // 64) * 64), dtype=bool)
+        # whole 64-bit words of bits, zero past `count`
+        packed = np.zeros((turns + k + 2, -(-count // 64) * 8), dtype=np.uint8)
+        size = -(-count // 8)
+        twos, ones = packed[-2, :size], packed[-1, :size]
         for row, node in enumerate(tdma):
-            senders[row, :count] = tdma_slot_mask(node.role.schedule, first - node.delay.slots,
-                                                  count)
-        if policy is not None:
-            decisions = policy.transmit_mask(first - policy.delay.slots, count)
+            sends = np.packbits(tdma_slot_mask(node.role.schedule, first - node.delay.slots,
+                                               count))
+            packed[row, :size] = sends
+            # the sender count's planes saturate at two
+            twos |= ones & sends
+            ones |= sends
+        if transmit:
+            free = np.unpackbits(ones, count=count) == 0
             if k == 1:
-                senders[turns, :count] = decisions
+                packed[turns, :size] = np.packbits(free)
             else:
-                positions = decisions.nonzero()[0]
+                decisions = np.zeros((k, count), dtype=bool)
+                positions = free.nonzero()[0]
                 for turn in range(k):
-                    senders[turns + turn, positions[turn::k]] = True
-        np.logical_or.reduce(senders[:-2], axis=0, out=senders[-1])
-        # a decision never shares its slot with a TDMA arrival or with another
-        # decision, so only TDMA arrivals can make two deterministic senders
-        if turns > 1:
-            counts = np.add.reduce(senders[:turns], axis=0, dtype=np.int32)
-            np.greater_equal(counts, 2, out=senders[-2])
-        return cls(count, np.packbits(senders, axis=1), k)
+                    decisions[turn, positions[turn::k]] = True
+                packed[turns:turns + k, :size] = np.packbits(decisions, axis=1)
+            ones |= np.packbits(free)
+        return cls(count, packed, k)
 
     def prefix(self, count: int) -> _BlockProfile:
         """The profile of the first `count` slots of this one."""
@@ -204,8 +181,8 @@ class _Plan:
     horizon: int
     period: int                     # the lcm of the TDMA frames
     block: int                      # AP slots per block
-    policy: ModelAwarePolicy | None
-    members: tuple[NodeId, ...]     # the model-aware stream's members, by id
+    transmit: bool                  # whether the model-aware stream's policy transmits
+    members: tuple[NodeId, ...]     # its members, by id
     sent: int                       # its transmit decisions before the window
     profile: _BlockProfile          # of the window's first block
 
@@ -223,17 +200,18 @@ def _plan(scenario: Scenario) -> _Plan:
     block = BLOCK_SLOTS - BLOCK_SLOTS % period if period <= BLOCK_SLOTS else BLOCK_SLOTS
     members = tuple(n.id for n in scenario.model_aware_nodes)
     k = len(members)
-    policy = None
+    transmit = False
     sent = 0
     if members:
         policy = build_model_aware_policy(scenario)
+        transmit = policy.default_action is Action.TRANSMIT
         # the gateway's transmit decisions before the window set whose turn it starts with
-        if k > 1 and policy.default_action is Action.TRANSMIT:
+        if k > 1 and transmit:
             sent = _transmit_decisions_before(policy, start - policy.delay.slots, period)
     return _Plan(len(scenario.nodes),
                  tuple((n.id, n.delay.slots, n.role.q) for n in scenario.aloha_nodes),
-                 tdma, start, horizon, period, block, policy, members, sent,
-                 _BlockProfile.build(tdma, policy, k, start, min(block, horizon)))
+                 tdma, start, horizon, period, block, transmit, members, sent,
+                 _BlockProfile.build(tdma, transmit, k, start, min(block, horizon)))
 
 
 def _count_range(plan: _Plan, begin: int, end: int, aloha: Sequence, buffers: tuple) -> tuple:
@@ -241,12 +219,12 @@ def _count_range(plan: _Plan, begin: int, end: int, aloha: Sequence, buffers: tu
 
     `aloha` holds each ALOHA node's (generator at slot `begin`, q). `buffers`
     come from `_range_buffers`, made by the caller and written in place: the
-    ALOHA nodes' sends, then a profile's rows. Returns (successes,
-    collisions, cross, single, successes per row, decisions): the rows are
-    the ALOHA nodes, the TDMA nodes, then turn j of the range's decisions.
+    ALOHA nodes' sends, then a profile's rows. Returns (collisions, cross,
+    single, successes per row, decisions): the rows are the ALOHA nodes, the
+    TDMA nodes, then turn j of the range's decisions.
     """
-    start, block, period, tdma, policy = (plan.start, plan.block, plan.period,
-                                          plan.tdma, plan.policy)
+    start, block, period, tdma, transmit = (plan.start, plan.block, plan.period,
+                                            plan.tdma, plan.transmit)
     k, profile = len(plan.members), plan.profile
     draws, send_flags, packed = buffers
     words, first_fixed = packed.view(np.uint64), len(aloha)
@@ -260,7 +238,7 @@ def _count_range(plan: _Plan, begin: int, end: int, aloha: Sequence, buffers: tu
         # block of a phase already seen takes a prefix of its profile
         if (first - start) % period != phase:
             phase = (first - start) % period
-            profile = _BlockProfile.build(tdma, policy, k, first, n)
+            profile = _BlockProfile.build(tdma, transmit, k, first, n)
         elif n < profile.count:
             profile = profile.prefix(n)
         flags, size = send_flags[:n], -(-n // 8)
@@ -287,8 +265,7 @@ def _count_range(plan: _Plan, begin: int, end: int, aloha: Sequence, buffers: tu
         decided += profile.decided
         cross += profile.cross
         single += profile.single
-    # every success slot has exactly one sender
-    return sum(totals), collisions, cross, single, totals, decided
+    return collisions, cross, single, totals, decided
 
 
 def run(scenario: Scenario) -> SimReport:
@@ -304,44 +281,37 @@ def run(scenario: Scenario) -> SimReport:
 def _simulate(plan: _Plan, seed: int) -> SimReport:
     """The run of `plan`'s scenario at `seed`, a valid seed."""
     start, horizon, members = plan.start, plan.horizon, plan.members
-    # arrival at AP slot a came from send slot a - d; start >= max delay
-    aloha = []   # (generator, q) of each ALOHA node
-    for node_id, delay, q in plan.aloha:
-        rng = node_rng(seed, node_id)
-        rng.bit_generator.advance(start - delay)   # the unmeasured draws
-        aloha.append((rng, q))
     cap = min(plan.block, horizon)
-    rows = len(aloha) + len(plan.tdma) + len(members)
+    rows = len(plan.aloha) + len(plan.tdma) + len(members)
     # range r counts blocks blocks * r // ranges onward; the calling thread
-    # counts range 0 after handing the others to the helpers
+    # makes every range's generators and buffers
     blocks = -(-horizon // plan.block)
     ranges = min(WORKERS, blocks)
     bounds = [start + blocks * r // ranges * plan.block for r in range(ranges)] + [start + horizon]
-    pool = _helper_pool(WORKERS - 1) if ranges > 1 else None
-    jobs = []
-    try:
-        for begin, end in zip(bounds[1:], bounds[2:]):
-            copies = []
-            for rng, q in aloha:
-                rng = copy.deepcopy(rng)
-                rng.bit_generator.advance(begin - start)
-                copies.append((rng, q))
-            jobs.append(pool.submit(_count_range, plan, begin, end, copies,
-                                    _range_buffers(cap, rows)))
-        counted = [_count_range(plan, start, bounds[1], aloha, _range_buffers(cap, rows))]
-    finally:
-        # no helper outlives the run, even when range 0 fails
-        for job in jobs:
-            job.exception()
-    for job in jobs:
-        counted.append(job.result())
+    work = []
+    for begin, end in zip(bounds, bounds[1:]):
+        aloha = []   # (generator at AP slot `begin`, q) of each ALOHA node
+        for node_id, delay, q in plan.aloha:
+            rng = node_rng(seed, node_id)
+            # arrival at AP slot a came from send slot a - d; start >= max delay
+            rng.bit_generator.advance(begin - delay)
+            aloha.append((rng, q))
+        work.append((plan, begin, end, aloha, _range_buffers(cap, rows)))
+    if ranges == 1:
+        counted = [_count_range(*work[0])]
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+        # leaving the `with` waits for every helper, even when range 0 fails
+        with ThreadPoolExecutor(ranges - 1, thread_name_prefix="uwmac-ranges") as helpers:
+            jobs = [helpers.submit(_count_range, *args) for args in work[1:]]
+            counted = [_count_range(*work[0])]
+        counted += [job.result() for job in jobs]
 
-    successes = collisions = cross = single = 0
+    collisions = cross = single = 0
     per_node = dict.fromkeys(range(plan.nodes), 0)
     ids = [node_id for node_id, _, _ in plan.aloha] + [node.id for node in plan.tdma]
     k, sent = len(members), plan.sent
-    for got, lost, crossed, singles, totals, decided in counted:
-        successes += got
+    for lost, crossed, singles, totals, decided in counted:
         collisions += lost
         cross += crossed
         single += singles
@@ -352,11 +322,12 @@ def _simulate(plan: _Plan, seed: int) -> SimReport:
         for turn, count in enumerate(totals[rows - k:]):
             per_node[members[(sent + turn) % k]] += count
         sent += decided
+    successes = sum(per_node.values())   # every success slot has exactly one sender
     empirical = successes / horizon
 
     oracle = deviation = None
     if members:
-        probs = tuple(q for _, q in aloha)
+        probs = tuple(q for _, _, q in plan.aloha)
         oracle = optimal_mixed(single / horizon, probs, cross / horizon)
         deviation = abs(empirical - oracle.optimal_throughput)
     return SimReport(measured_slots=horizon, successes=successes,
@@ -413,6 +384,13 @@ def _derive_seed(base_seed: int, index: int) -> int:
     return int(np.random.SeedSequence([base_seed, index]).generate_state(1, np.uint64)[0])
 
 
+def _is_whole(value) -> bool:
+    """Whether `value` is a Python or numpy integer, or a float of integral value."""
+    if isinstance(value, numbers.Integral):
+        return not isinstance(value, bool)
+    return isinstance(value, numbers.Real) and float(value).is_integer()
+
+
 def _apply_parameter(scenario: Scenario, name: str, value) -> Scenario:
     if name == "q":
         if not scenario.aloha_nodes:
@@ -434,12 +412,8 @@ def _apply_parameter(scenario: Scenario, name: str, value) -> Scenario:
         nodes = tuple(replace(n, role=TdmaRole(schedule)) if n.id == tdma[0].id else n
                       for n in scenario.nodes)
         return replace(scenario, nodes=nodes)
-    if name == "horizon":
-        return replace(scenario, horizon=int(value))
-    if name == "warmup":
-        return replace(scenario, warmup=int(value))
-    # sweep has already rejected every other name
-    return replace(scenario, seed=int(value))
+    # sweep has already rejected every other name: horizon, warmup or seed
+    return replace(scenario, **{name: int(value)})
 
 
 def sweep(base: Scenario, grid: Sequence[tuple[str, Sequence]]) -> list[SweepPoint]:
@@ -449,8 +423,10 @@ def sweep(base: Scenario, grid: Sequence[tuple[str, Sequence]]) -> list[SweepPoi
     A point whose parameters other than `seed` equal those that built the last
     valid plan (`_plan`) reuses it: only its seed is checked and drawn.
     Grid-point failures are recorded on the point and the sweep continues.
+    An unknown or repeated name, or a `horizon`, `warmup` or `seed` value that
+    is not a whole number, raises ValidationError before any point runs.
     """
-    grid = list(grid)
+    grid = [(name, tuple(values)) for name, values in grid]
     if not grid:
         return []
     unknown = [name for name, _ in grid if name not in SWEEP_PARAMETERS]
@@ -461,6 +437,11 @@ def sweep(base: Scenario, grid: Sequence[tuple[str, Sequence]]) -> list[SweepPoi
     repeated = dict.fromkeys(name for i, name in enumerate(names) if name in names[:i])
     if repeated:
         raise ValidationError([f"sweep parameter {name!r} given twice" for name in repeated])
+    whole = [f"sweep parameter {name!r} takes whole numbers, got {value!r}"
+             for name, values in grid if name in ("horizon", "warmup", "seed")
+             for value in values if not _is_whole(value)]
+    if whole:
+        raise ValidationError(whole)
     fixed = [i for i, name in enumerate(names) if name != "seed"]
     plan = key = None   # the last valid plan and the values but the seed it was built for
     points = []

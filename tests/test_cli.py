@@ -550,7 +550,7 @@ def test_malformed_scenarios_never_raise(tmp_path_factory):
 
 
 def test_import_starts_no_thread_and_loads_no_executor():
-    # the engine's range helpers start on the first run of several blocks, not on import
+    # the engine's range helpers start with each run of several blocks, not on import
     probe = ("import sys, threading, uwmac.cli; "
              "print(threading.active_count(), 'concurrent.futures' in sys.modules)")
     src = Path(__file__).resolve().parent.parent / "src"

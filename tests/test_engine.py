@@ -1,4 +1,5 @@
 import collections
+import concurrent.futures
 import dataclasses
 import itertools
 import math
@@ -15,14 +16,14 @@ from hypothesis import given, settings, strategies as st
 
 from reference_model import reference_run
 from uwmac.bruteforce import certify_policy
-from uwmac.core import (AlohaRole, ContractViolation, Delay, ModelAwareRole,
+from uwmac.core import (Action, AlohaRole, ContractViolation, Delay, ModelAwareRole,
                         NodeSpec, Scenario, TdmaRole, TdmaSchedule,
                         ValidationError)
-from uwmac import engine
+from uwmac import engine, policies
 from uwmac.engine import (SimReport, compare_to_oracle, default_tolerance, node_rng,
                           run, sweep)
 from uwmac.oracle import Branch, OracleResult, optimal_aloha
-from uwmac.policies import ModelAwarePolicy, build_model_aware_policy
+from uwmac.policies import ModelAwarePolicy, build_model_aware_policy, tdma_slot_mask
 
 
 def _ma(node_id, delay, member=True):
@@ -149,15 +150,16 @@ def _crowd():
 
 
 def test_helper_threads_stay_bounded(monkeypatch):
+    # a run's helpers live for that run only
     monkeypatch.setattr(engine, "WORKERS", 3)
-    others = threading.active_count() - len(_helper_threads())
+    before = threading.active_count()
     for _ in range(20):
         run(_crowd())
-    assert 1 <= len(_helper_threads()) <= 2
-    assert threading.active_count() <= others + 2
+    assert _helper_threads() == []
+    assert threading.active_count() == before
 
 
-def test_concurrent_runs_share_the_helpers(monkeypatch):
+def test_concurrent_runs_match_a_serial_run(monkeypatch):
     monkeypatch.setattr(engine, "WORKERS", 1)
     serial = run(_crowd())
     monkeypatch.setattr(engine, "WORKERS", 3)
@@ -183,7 +185,7 @@ def test_concurrent_runs_share_the_helpers(monkeypatch):
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_a_forked_child_starts_its_own_helpers(monkeypatch):
-    # the child inherits the parent's pool object but none of its threads
+    # the child inherits none of the parent's threads, so it starts its own helpers
     monkeypatch.setattr(engine, "WORKERS", 2)
     threaded = run(_crowd())
     pid = os.fork()
@@ -204,11 +206,11 @@ def test_a_forked_child_starts_its_own_helpers(monkeypatch):
 
 
 def test_a_one_block_run_starts_no_helper(monkeypatch):
-    def no_pool(helpers):
-        raise AssertionError(f"asked for {helpers} helper threads")
+    def no_executor(workers, **kwargs):
+        raise AssertionError(f"asked for {workers} helper threads")
 
     monkeypatch.setattr(engine, "WORKERS", 3)
-    monkeypatch.setattr(engine, "_helper_pool", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_executor)
     before = threading.active_count()
     # the sweep_short shape: 4 nodes at H = 500
     run(Scenario((_ma(0, 1), _tdma(1, 3, 4, {0}), _aloha(2, 0, 0.1), _aloha(3, 2, 0.2)),
@@ -229,7 +231,7 @@ def test_an_error_in_a_helper_reaches_the_caller(monkeypatch):
         patch.setattr(engine, "_count_range", failing_in_helpers)
         with pytest.raises(RuntimeError, match="range failed"):
             run(_crowd())
-    # the pool keeps working after a failed run
+    # the next run starts helpers of its own
     threaded = run(_crowd())
     monkeypatch.setattr(engine, "WORKERS", 1)
     assert run(_crowd()) == threaded
@@ -285,7 +287,7 @@ def test_run_memory_does_not_grow_with_the_ranges(monkeypatch):
     monkeypatch.setattr(engine, "WORKERS", 3)
     scenario = Scenario((_ma(0, 1), *(_aloha(i, i % 4, 0.01) for i in range(1, 49))),
                         horizon=4 * engine.BLOCK_SLOTS, seed=5)
-    run(scenario)   # the helpers start outside the measurement
+    run(scenario)   # concurrent.futures is imported outside the measurement
     tracemalloc.start()
     try:
         run(scenario)
@@ -309,6 +311,7 @@ def test_block_profile_is_built_once_per_phase(monkeypatch):
     calls = collections.Counter()
     monkeypatch.setattr(engine, "tdma_slot_mask",
                         _counted(calls, "tdma", engine.tdma_slot_mask))
+    # the decisions are read off the TDMA rows, so no block asks the policy
     monkeypatch.setattr(ModelAwarePolicy, "transmit_mask",
                         _counted(calls, "policy", ModelAwarePolicy.transmit_mask))
     nodes = (_ma(0, 2), _ma(1, 2), _ma(2, 2), _tdma(3, 1, 5, {0}), _tdma(4, 0, 3, {1}))
@@ -316,7 +319,83 @@ def test_block_profile_is_built_once_per_phase(monkeypatch):
         calls.clear()
         report = run(Scenario(nodes, horizon=blocks * engine.BLOCK_SLOTS, seed=3))
         assert min(report.per_node_successes[m] for m in range(3)) > 0
-        assert calls == {"tdma": 2, "policy": 1}
+        assert calls == {"tdma": 2}
+
+
+def test_helpers_make_no_generator_and_ask_no_policy(monkeypatch):
+    # frames 5 and 3 repeat every 15 AP slots, more than a block of 7, so the
+    # helper's range builds profiles of its own; generators and policy queries
+    # still happen on the calling thread only
+    caller = threading.current_thread()
+    calls = collections.Counter()
+
+    def on_thread(name, function):
+        def wrapper(*args):
+            calls[name, threading.current_thread() is caller] += 1
+            return function(*args)
+        return wrapper
+
+    monkeypatch.setattr(engine, "BLOCK_SLOTS", 7)
+    monkeypatch.setattr(engine, "WORKERS", 2)
+    monkeypatch.setattr(engine, "node_rng", on_thread("rng", engine.node_rng))
+    monkeypatch.setattr(engine, "tdma_slot_mask", on_thread("tdma", engine.tdma_slot_mask))
+    monkeypatch.setattr(policies, "compute_forbidden_send_slots",
+                        on_thread("policy", policies.compute_forbidden_send_slots))
+    nodes = (_ma(0, 2), _ma(1, 2), _tdma(2, 1, 5, {0}), _tdma(3, 4, 3, {1}),
+             _aloha(4, 3, 0.05), _aloha(5, 0, 0.1))
+    report = run(Scenario(nodes, horizon=200, warmup=40, seed=6))
+    assert report.oracle.chosen_branch is Branch.TRANSMIT
+    assert calls["tdma", False] > 0 and calls["policy", True] > 0
+    assert calls["rng", True] == 4   # two ALOHA nodes in each of two ranges
+    assert {name for name, on_caller in calls if not on_caller} == {"tdma"}
+
+
+@st.composite
+def window_blocks(draw):
+    """A stream of 1 to 3 model-aware members against 0 to 3 TDMA nodes, whose
+    frames are short or longer than BLOCK_SLOTS and may overlap, with delays on
+    either side of the stream's; an ALOHA node whose q picks the branch; and a
+    block of the window that starts anywhere from the warm-up on."""
+    ma_delay = draw(st.integers(0, 6))
+    nodes = [_ma(i, ma_delay) for i in range(draw(st.integers(1, 3)))]
+    for _ in range(draw(st.integers(0, 3))):
+        frame = draw(st.integers(1, 9)
+                     | st.integers(engine.BLOCK_SLOTS - 3, engine.BLOCK_SLOTS + 300))
+        assigned = draw(st.frozensets(st.integers(0, frame - 1), max_size=12))
+        nodes.append(_tdma(len(nodes), draw(st.integers(0, 12)), frame, assigned))
+    nodes.append(_aloha(len(nodes), draw(st.integers(0, 12)), draw(st.floats(0.0, 1.0))))
+    max_delay = max(n.delay.slots for n in nodes)
+    start = draw(st.integers(max_delay, max_delay + 100))
+    first = draw(st.integers(start, start + 3 * engine.BLOCK_SLOTS))
+    count = draw(st.integers(1, 300) | st.just(engine.BLOCK_SLOTS))
+    scenario = Scenario(tuple(nodes), horizon=first + count - start, warmup=start, seed=0)
+    return scenario, first, count
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(case=window_blocks())
+def test_decisions_are_the_complement_of_the_tdma_arrivals(case):
+    scenario, first, count = case
+    policy = build_model_aware_policy(scenario)
+    transmit = policy.default_action is Action.TRANSMIT
+    decisions = policy.transmit_mask(first - policy.delay.slots, count)
+    tdma = scenario.tdma_nodes
+    arrivals = np.array([tdma_slot_mask(n.role.schedule, first - n.delay.slots, count)
+                         for n in tdma]).reshape(len(tdma), count)
+    assert np.array_equal(decisions, ~arrivals.any(axis=0) if transmit
+                          else np.zeros(count, dtype=bool))
+    # the profile holds those arrivals, those decisions in turns, and the planes
+    k = len(scenario.model_aware_nodes)
+    profile = engine._BlockProfile.build(tdma, transmit, k, first, count)
+    rows = np.unpackbits(profile.packed, axis=1).astype(bool)
+    assert not rows[:, count:].any()
+    rows = rows[:, :count]
+    assert np.array_equal(rows[:len(tdma)], arrivals)
+    positions = decisions.nonzero()[0]
+    for turn in range(k):
+        assert np.array_equal(rows[len(tdma) + turn].nonzero()[0], positions[turn::k])
+    assert np.array_equal(rows[-2], arrivals.sum(axis=0) >= 2)
+    assert np.array_equal(rows[-1], arrivals.any(axis=0) | decisions)
 
 
 @st.composite
@@ -554,6 +633,26 @@ def test_sweep_rejects_a_parameter_given_twice():
     base = Scenario((_ma(0, 1), _aloha(1, 0, 0.5)), horizon=100, seed=11)
     with pytest.raises(ValidationError, match="^sweep parameter 'q' given twice$"):
         sweep(base, [("q", [0.1, 0.2]), ("seed", [1]), ("q", [0.3])])
+
+
+@pytest.mark.parametrize("name", ["horizon", "warmup", "seed"])
+@pytest.mark.parametrize("value", [2.5, 1.9, math.nan, math.inf, True, np.bool_(False), "3"])
+def test_sweep_rejects_a_value_that_is_not_a_whole_number(monkeypatch, name, value):
+    calls = collections.Counter()
+    monkeypatch.setattr(engine, "_simulate", _counted(calls, "point", engine._simulate))
+    base = Scenario((_ma(0, 1), _aloha(1, 0, 0.5)), horizon=100, seed=11)
+    with pytest.raises(ValidationError,
+                       match=f"^sweep parameter {name!r} takes whole numbers, got "):
+        sweep(base, [("q", [0.2]), (name, [3, value])])
+    assert not calls   # no point ran
+
+
+def test_sweep_takes_python_and_numpy_integers():
+    base = Scenario((_ma(0, 1), _aloha(1, 0, 0.5)), horizon=100, seed=11)
+    points = sweep(base, [("horizon", [40, np.int64(40), np.uint16(40)]),
+                          ("warmup", [np.int32(5)]), ("seed", [np.uint64(7), 7])])
+    expected = run(dataclasses.replace(base, horizon=40, warmup=5, seed=7))
+    assert [(point.seed, point.report) for point in points] == [(7, expected)] * 6
 
 
 # bases for the sweep grids: a transmit-branch gateway, overlapping TDMA
