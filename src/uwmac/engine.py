@@ -10,15 +10,15 @@ measured AP slot hears each node's send from exactly one earlier slot, so a
 block only needs every node's sends over one block-long range, kept at one bit
 per slot: TDMA sends from the schedule, ALOHA sends from the node's generator
 (its unmeasured draws skipped with `advance`), and the model-aware stream's,
-one sender even for a gateway. Its policy knows every schedule, so inside the
-window it transmits, in the transmit branch, in exactly the AP slots that no
-TDMA packet reaches: the decisions are read off the TDMA arrivals. Both repeat
-every `period` AP slots, the lcm of the frames, so a block is cut at the
-largest multiple of the period that fits in BLOCK_SLOTS (at BLOCK_SLOTS when
-the period is longer) and they are built once per phase of the period, not
-once per block (`_BlockProfile`). Time is O(horizon), plus, for a gateway of
-several members in the transmit branch, O(min(warm-up, settle + 2 x period))
-to count whose turn the window starts with (see `_transmit_decisions_before`).
+one sender even for a gateway. Its policy knows every schedule, so in the
+transmit branch it transmits in exactly the AP slots that no TDMA packet
+reaches, read off the TDMA arrivals (`_BlockProfile`, the one builder of what
+the schedules fix). Both repeat every `period` AP slots, the lcm of the
+frames, so a block is cut at the largest multiple of the period that fits in
+BLOCK_SLOTS (at BLOCK_SLOTS when the period is longer) and they are built once
+per phase of the period, and for the short last block. Time is O(horizon),
+plus, for a gateway of several members in the transmit branch, O(min(warm-up,
+settle + 2 x period)) to count whose turn the window starts with.
 
 The window's blocks are cut into R = min(WORKERS, blocks) contiguous ranges,
 WORKERS being the CPUs the process may use: range r takes blocks
@@ -33,9 +33,9 @@ helper, and importing uwmac starts none. Memory is O(BLOCK_SLOTS x (1 +
 nodes / 8)) per range, whatever the horizon and warm-up.
 
 A run is `_plan` then `_simulate`. `_plan` does all that the scenario fixes
-whatever its seed: validation, the period and block, the policy's branch,
-the gateway's decisions before the window and the first block's profile, held
-in a `_Plan`.
+whatever its seed: validation, the period and block, the policy's branch
+(all that the engine asks of `policies`), the gateway's decisions before the
+window and the first block's profile, held in a `_Plan`.
 `_simulate` makes the ALOHA generators at the seed, counts the ranges and
 attaches the oracle. `sweep` keeps its last valid plan: a point whose
 parameters other than `seed` equal those that built it checks only its seed
@@ -57,7 +57,7 @@ from .core import (Action, AlohaRole, ContractViolation, NodeId, NodeSpec, Scena
                    TdmaRole, TdmaSchedule, ValidationError, seed_errors,
                    validate_scenario)
 from .oracle import OracleResult, optimal_mixed
-from .policies import ModelAwarePolicy, build_model_aware_policy, tdma_slot_mask
+from .policies import build_model_aware_policy, tdma_slot_mask
 
 
 BLOCK_SLOTS = 1 << 16
@@ -92,18 +92,19 @@ class SimReport:
     deviation: float | None = None
 
 
-def _transmit_decisions_before(policy: ModelAwarePolicy, first_send: int, period: int) -> int:
-    """Transmit decisions of the policy in send slots 0 .. first_send - 1. From
-    send slot `settle` on no decision looks at a TDMA slot below 0, so they
-    repeat every `period` slots (the lcm of the frames): one period counts for
-    all the whole ones."""
-    def walk(begin: int, end: int) -> int:
-        return sum(int(np.count_nonzero(policy.transmit_mask(s, min(BLOCK_SLOTS, end - s))))
-                   for s in range(begin, end, BLOCK_SLOTS))
-    settle = max([0] + [delay.slots - policy.delay.slots for _, delay in policy.tdma])
-    full = max(0, (first_send - settle) // period)
-    head = first_send - full * period
-    return walk(0, head) + (full * walk(head, head + period) if full else 0)
+def _decisions_before(tdma: Sequence, delay: int, start: int, period: int) -> int:
+    """The transmit branch's decisions before AP slot `start` for a stream of
+    delay `delay`: the AP slots delay .. start - 1 that no TDMA packet reaches.
+    From AP slot `settle` on they repeat every `period` slots (the lcm of the
+    frames), so one period counts for all the whole ones."""
+    def free(begin: int, end: int) -> int:
+        blocks = (_BlockProfile.build(tdma, False, 0, a, min(BLOCK_SLOTS, end - a))
+                  for a in range(begin, end, BLOCK_SLOTS))
+        return sum(block.count - block.single - block.cross for block in blocks)
+    settle = max([delay] + [node.delay.slots for node in tdma])
+    full = max(0, (start - settle) // period)
+    head = start - full * period
+    return free(delay, head) + (full * free(head, head + period) if full else 0)
 
 
 class _BlockProfile:
@@ -111,12 +112,13 @@ class _BlockProfile:
     bit per slot into rows of 64-bit words: the sends of each TDMA node, then
     of each relative turn of the model-aware stream's k members (turn j holds
     decisions j, j + k, j + 2k, ... of the block), then the two planes of the
-    deterministic sender count: two or more, and one or more. Inside the
-    window every TDMA send slot is >= 0, so the policy's transmit branch
-    transmits in exactly the slots that no TDMA row marks."""
+    deterministic sender count: two or more, and one or more. Each TDMA row
+    starts at the node's first arrival, AP slot = its delay, so from the
+    stream's own delay on the policy's transmit branch transmits in exactly
+    the slots that no TDMA row marks."""
 
     def __init__(self, count: int, packed: np.ndarray, k: int):
-        self.count, self.packed, self.k = count, packed, k
+        self.count, self.packed = count, packed
         slots = np.add.reduce(np.bitwise_count(packed.view(np.uint64)), axis=1).tolist()
         self.decided = sum(slots[-2 - k:-2])
         # every slot of two or more deterministic senders is a cross collision
@@ -134,8 +136,9 @@ class _BlockProfile:
         size = -(-count // 8)
         twos, ones = packed[-2, :size], packed[-1, :size]
         for row, node in enumerate(tdma):
-            sends = np.packbits(tdma_slot_mask(node.role.schedule, first - node.delay.slots,
-                                               count))
+            arrivals = tdma_slot_mask(node.role.schedule, first - node.delay.slots, count)
+            arrivals[:max(0, node.delay.slots - first)] = False   # heard from AP slot delay on
+            sends = np.packbits(arrivals)
             packed[row, :size] = sends
             # the sender count's planes saturate at two
             twos |= ones & sends
@@ -152,13 +155,6 @@ class _BlockProfile:
                 packed[turns:turns + k, :size] = np.packbits(decisions, axis=1)
             ones |= np.packbits(free)
         return cls(count, packed, k)
-
-    def prefix(self, count: int) -> _BlockProfile:
-        """The profile of the first `count` slots of this one."""
-        packed = self.packed.copy()
-        packed[:, count // 8] &= 0xFF00 >> count % 8 & 0xFF   # bits are big-endian
-        packed[:, -(-count // 8):] = 0
-        return _BlockProfile(count, packed, self.k)
 
 
 def _range_buffers(slots: int, rows: int) -> tuple:
@@ -198,16 +194,16 @@ def _plan(scenario: Scenario) -> _Plan:
     # TDMA arrivals and the decisions repeat every `period` AP slots
     period = math.lcm(*[node.role.schedule.frame_length for node in tdma])
     block = BLOCK_SLOTS - BLOCK_SLOTS % period if period <= BLOCK_SLOTS else BLOCK_SLOTS
-    members = tuple(n.id for n in scenario.model_aware_nodes)
+    group = scenario.model_aware_nodes   # its members share one delay
+    members = tuple(n.id for n in group)
     k = len(members)
     transmit = False
     sent = 0
     if members:
-        policy = build_model_aware_policy(scenario)
-        transmit = policy.default_action is Action.TRANSMIT
+        transmit = build_model_aware_policy(scenario).default_action is Action.TRANSMIT
         # the gateway's transmit decisions before the window set whose turn it starts with
         if k > 1 and transmit:
-            sent = _transmit_decisions_before(policy, start - policy.delay.slots, period)
+            sent = _decisions_before(tdma, group[0].delay.slots, start, period)
     return _Plan(len(scenario.nodes),
                  tuple((n.id, n.delay.slots, n.role.q) for n in scenario.aloha_nodes),
                  tdma, start, horizon, period, block, transmit, members, sent,
@@ -234,13 +230,10 @@ def _count_range(plan: _Plan, begin: int, end: int, aloha: Sequence, buffers: tu
     phase = 0
     for first in range(begin, end, block):
         n = min(block, end - first)
-        # a profile is built once per phase of the frames; the short last
-        # block of a phase already seen takes a prefix of its profile
-        if (first - start) % period != phase:
+        # one profile per phase of the frames, and one for the short last block
+        if (first - start) % period != phase or n != profile.count:
             phase = (first - start) % period
             profile = _BlockProfile.build(tdma, transmit, k, first, n)
-        elif n < profile.count:
-            profile = profile.prefix(n)
         flags, size = send_flags[:n], -(-n // 8)
         if n < block and first > begin:
             packed[:, size:] = 0   # the bits that the longer blocks before left there
@@ -384,11 +377,15 @@ def _derive_seed(base_seed: int, index: int) -> int:
     return int(np.random.SeedSequence([base_seed, index]).generate_state(1, np.uint64)[0])
 
 
+def _is_real(value) -> bool:
+    """Whether `value` is a Python or numpy real number other than a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _is_whole(value) -> bool:
     """Whether `value` is a Python or numpy integer, or a float of integral value."""
-    if isinstance(value, numbers.Integral):
-        return not isinstance(value, bool)
-    return isinstance(value, numbers.Real) and float(value).is_integer()
+    return _is_real(value) and (isinstance(value, numbers.Integral)
+                                or float(value).is_integer())
 
 
 def _apply_parameter(scenario: Scenario, name: str, value) -> Scenario:
@@ -423,8 +420,8 @@ def sweep(base: Scenario, grid: Sequence[tuple[str, Sequence]]) -> list[SweepPoi
     A point whose parameters other than `seed` equal those that built the last
     valid plan (`_plan`) reuses it: only its seed is checked and drawn.
     Grid-point failures are recorded on the point and the sweep continues.
-    An unknown or repeated name, or a `horizon`, `warmup` or `seed` value that
-    is not a whole number, raises ValidationError before any point runs.
+    An unknown or repeated name, or a value of the wrong kind (`q` and `p` take
+    real numbers, the others whole ones), raises ValidationError before any point runs.
     """
     grid = [(name, tuple(values)) for name, values in grid]
     if not grid:
@@ -437,11 +434,13 @@ def sweep(base: Scenario, grid: Sequence[tuple[str, Sequence]]) -> list[SweepPoi
     repeated = dict.fromkeys(name for i, name in enumerate(names) if name in names[:i])
     if repeated:
         raise ValidationError([f"sweep parameter {name!r} given twice" for name in repeated])
-    whole = [f"sweep parameter {name!r} takes whole numbers, got {value!r}"
-             for name, values in grid if name in ("horizon", "warmup", "seed")
-             for value in values if not _is_whole(value)]
-    if whole:
-        raise ValidationError(whole)
+    mistyped = []
+    for name, values in grid:
+        kind, fits = ("real", _is_real) if name in ("q", "p") else ("whole", _is_whole)
+        mistyped += [f"sweep parameter {name!r} takes {kind} numbers, got {value!r}"
+                     for value in values if not fits(value)]
+    if mistyped:
+        raise ValidationError(mistyped)
     fixed = [i for i, name in enumerate(names) if name != "seed"]
     plan = key = None   # the last valid plan and the values but the seed it was built for
     points = []

@@ -307,7 +307,7 @@ def _counted(calls, name, function):
 
 def test_block_profile_is_built_once_per_phase(monkeypatch):
     # frames 5 and 3 repeat every 15 AP slots, so every block of the window
-    # starts at phase 0 and the short last block takes a prefix of one profile
+    # starts at phase 0 and only the short last block needs a profile of its own
     calls = collections.Counter()
     monkeypatch.setattr(engine, "tdma_slot_mask",
                         _counted(calls, "tdma", engine.tdma_slot_mask))
@@ -319,35 +319,68 @@ def test_block_profile_is_built_once_per_phase(monkeypatch):
         calls.clear()
         report = run(Scenario(nodes, horizon=blocks * engine.BLOCK_SLOTS, seed=3))
         assert min(report.per_node_successes[m] for m in range(3)) > 0
-        assert calls == {"tdma": 2}
+        assert calls == {"tdma": 4}
 
 
 def test_helpers_make_no_generator_and_ask_no_policy(monkeypatch):
     # frames 5 and 3 repeat every 15 AP slots, more than a block of 7, so the
-    # helper's range builds profiles of its own; generators and policy queries
-    # still happen on the calling thread only
+    # helper's range builds profiles of its own; generators and the warm-up's
+    # turn count still happen on the calling thread only, and nothing asks the
+    # policy for a forbidden slot
     caller = threading.current_thread()
     calls = collections.Counter()
+    warming = []
 
     def on_thread(name, function):
         def wrapper(*args):
-            calls[name, threading.current_thread() is caller] += 1
+            calls[name + " in warm-up" * bool(warming),
+                  threading.current_thread() is caller] += 1
             return function(*args)
         return wrapper
 
+    def warm_up(*args):
+        warming.append(True)
+        try:
+            return decisions_before(*args)
+        finally:
+            warming.pop()
+
+    decisions_before = engine._decisions_before
     monkeypatch.setattr(engine, "BLOCK_SLOTS", 7)
     monkeypatch.setattr(engine, "WORKERS", 2)
     monkeypatch.setattr(engine, "node_rng", on_thread("rng", engine.node_rng))
     monkeypatch.setattr(engine, "tdma_slot_mask", on_thread("tdma", engine.tdma_slot_mask))
+    monkeypatch.setattr(engine, "_decisions_before", warm_up)
     monkeypatch.setattr(policies, "compute_forbidden_send_slots",
                         on_thread("policy", policies.compute_forbidden_send_slots))
     nodes = (_ma(0, 2), _ma(1, 2), _tdma(2, 1, 5, {0}), _tdma(3, 4, 3, {1}),
              _aloha(4, 3, 0.05), _aloha(5, 0, 0.1))
     report = run(Scenario(nodes, horizon=200, warmup=40, seed=6))
     assert report.oracle.chosen_branch is Branch.TRANSMIT
-    assert calls["tdma", False] > 0 and calls["policy", True] > 0
+    assert calls["tdma", False] > 0 and calls["tdma in warm-up", True] > 0
     assert calls["rng", True] == 4   # two ALOHA nodes in each of two ranges
     assert {name for name, on_caller in calls if not on_caller} == {"tdma"}
+    assert not any(name == "policy" for name, _ in calls)
+
+
+def test_a_long_warmup_asks_the_policy_for_no_slot(monkeypatch):
+    # a transmit-branch gateway whose warm-up spans many blocks and periods
+    # counts its turns off the TDMA rows, as the reference model's walk does
+    def refuse(*args):
+        raise AssertionError("the engine asked the policy for its slots")
+
+    nodes = (_ma(0, 2), _ma(1, 2), _ma(2, 2), _tdma(3, 1, 5, {0}), _tdma(4, 4, 7, {1, 3}),
+             _aloha(5, 0, 0.05))
+    scenario = Scenario(nodes, horizon=300, warmup=997, seed=4)
+    expected = reference_run(scenario)[1]
+    monkeypatch.setattr(engine, "BLOCK_SLOTS", 64)
+    monkeypatch.setattr(ModelAwarePolicy, "transmit_mask", refuse)
+    monkeypatch.setattr(policies, "compute_forbidden_send_slots", refuse)
+    report = run(scenario)
+    assert report.oracle.chosen_branch is Branch.TRANSMIT
+    assert report.per_node_successes == expected
+    report = run(dataclasses.replace(scenario, warmup=10**12))
+    assert min(report.per_node_successes[m] for m in range(3)) > 0
 
 
 @st.composite
@@ -355,7 +388,8 @@ def window_blocks(draw):
     """A stream of 1 to 3 model-aware members against 0 to 3 TDMA nodes, whose
     frames are short or longer than BLOCK_SLOTS and may overlap, with delays on
     either side of the stream's; an ALOHA node whose q picks the branch; and a
-    block of the window that starts anywhere from the warm-up on."""
+    block that starts anywhere from the stream's delay on, so before the
+    warm-up ends it can reach TDMA send slots below 0."""
     ma_delay = draw(st.integers(0, 6))
     nodes = [_ma(i, ma_delay) for i in range(draw(st.integers(1, 3)))]
     for _ in range(draw(st.integers(0, 3))):
@@ -366,10 +400,10 @@ def window_blocks(draw):
     nodes.append(_aloha(len(nodes), draw(st.integers(0, 12)), draw(st.floats(0.0, 1.0))))
     max_delay = max(n.delay.slots for n in nodes)
     start = draw(st.integers(max_delay, max_delay + 100))
-    first = draw(st.integers(start, start + 3 * engine.BLOCK_SLOTS))
+    first = draw(st.integers(ma_delay, start + 3 * engine.BLOCK_SLOTS))
     count = draw(st.integers(1, 300) | st.just(engine.BLOCK_SLOTS))
-    scenario = Scenario(tuple(nodes), horizon=first + count - start, warmup=start, seed=0)
-    return scenario, first, count
+    horizon = max(1, first + count - start)
+    return Scenario(tuple(nodes), horizon=horizon, warmup=start, seed=0), first, count
 
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
@@ -380,8 +414,11 @@ def test_decisions_are_the_complement_of_the_tdma_arrivals(case):
     transmit = policy.default_action is Action.TRANSMIT
     decisions = policy.transmit_mask(first - policy.delay.slots, count)
     tdma = scenario.tdma_nodes
-    arrivals = np.array([tdma_slot_mask(n.role.schedule, first - n.delay.slots, count)
-                         for n in tdma]).reshape(len(tdma), count)
+    # AP slot a hears a TDMA node of delay d from send slot a - d, if that is >= 0
+    arrivals = np.zeros((len(tdma), count), dtype=bool)
+    for row, n in enumerate(tdma):
+        heard = np.arange(first, first + count) >= n.delay.slots
+        arrivals[row] = tdma_slot_mask(n.role.schedule, first - n.delay.slots, count) & heard
     assert np.array_equal(decisions, ~arrivals.any(axis=0) if transmit
                           else np.zeros(count, dtype=bool))
     # the profile holds those arrivals, those decisions in turns, and the planes
@@ -398,33 +435,62 @@ def test_decisions_are_the_complement_of_the_tdma_arrivals(case):
     assert np.array_equal(rows[-1], arrivals.any(axis=0) | decisions)
 
 
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(case=window_blocks(), data=st.data())
+def test_a_short_block_is_the_start_of_a_full_one(case, data):
+    # the window's short last block gets a profile of its own, which must hold
+    # the first n slots of the full block's, turns and counts included
+    scenario, first, count = case
+    n = data.draw(st.integers(1, count))
+    tdma = scenario.tdma_nodes
+    for k, transmit in itertools.product((1, 2, 3), (False, True)):
+        full = engine._BlockProfile.build(tdma, transmit, k, first, count)
+        short = engine._BlockProfile.build(tdma, transmit, k, first, n)
+        rows = np.unpackbits(short.packed, axis=1)
+        assert not rows[:, n:].any()
+        rows = rows[:, :n].astype(int)
+        assert np.array_equal(rows, np.unpackbits(full.packed, axis=1)[:, :n])
+        decided = rows[len(tdma):len(tdma) + k].sum()
+        cross = rows[-2].sum()
+        assert (short.count, short.decided, short.cross, short.single) == (
+            n, decided, cross, rows[-1].sum() - cross - decided)
+
+
 @st.composite
 def warm_gateways(draw):
     """A transmit-branch gateway against 0 to 3 TDMA nodes with frames 1 to 9
-    and delays on either side of the gateway's, and a warm-up up to 3000."""
+    or longer than BLOCK_SLOTS and delays on either side of the gateway's; a
+    warm-up up to 3000 slots or up to several blocks of BLOCK_SLOTS; and the
+    block size the count walks in, which is at least 1000 on a long warm-up."""
     ma_delay = draw(st.integers(0, 4))
     nodes = [_ma(i, ma_delay) for i in range(draw(st.integers(2, 3)))]
     for _ in range(draw(st.integers(0, 3))):
-        frame = draw(st.integers(1, 9))
-        assigned = draw(st.frozensets(st.integers(0, frame - 1)))
+        frame = draw(st.integers(1, 9)
+                     | st.integers(engine.BLOCK_SLOTS - 3, engine.BLOCK_SLOTS + 300))
+        assigned = draw(st.frozensets(st.integers(0, frame - 1), max_size=12))
         nodes.append(_tdma(len(nodes), draw(st.integers(0, 12)), frame, assigned))
     max_delay = max(n.delay.slots for n in nodes)
-    return Scenario(tuple(nodes), horizon=1,
-                    warmup=draw(st.integers(max_delay, max_delay + 3000)), seed=0)
+    span = draw(st.integers(0, 3000)
+                | st.integers(engine.BLOCK_SLOTS, 4 * engine.BLOCK_SLOTS))
+    block = draw(st.sampled_from([1, 7, 1000, 65536] if span <= 3000 else [1000, 65536]))
+    return Scenario(tuple(nodes), horizon=1, warmup=max_delay + span, seed=0), block
 
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
-@given(scenario=warm_gateways(), block=st.sampled_from([1, 7, 1000, 65536]))
-def test_warmup_decision_count_matches_a_plain_walk(scenario, block):
-    # the count over whole periods of the forbidden pattern equals walking the warm-up
+@given(case=warm_gateways())
+def test_warmup_decision_count_matches_a_plain_walk(case):
+    # counting free AP slots over whole periods equals walking the policy's warm-up
+    scenario, block = case
     policy = build_model_aware_policy(scenario)
     first_send = scenario.warmup_slots - policy.delay.slots
-    walked = sum(int(np.count_nonzero(policy.transmit_mask(s, min(97, first_send - s))))
-                 for s in range(0, first_send, 97))
-    period = math.lcm(*(schedule.frame_length for schedule, _ in policy.tdma))
+    walked = sum(int(np.count_nonzero(policy.transmit_mask(s, min(997, first_send - s))))
+                 for s in range(0, first_send, 997))
+    tdma = scenario.tdma_nodes
+    period = math.lcm(*(n.role.schedule.frame_length for n in tdma))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(engine, "BLOCK_SLOTS", block)
-        assert engine._transmit_decisions_before(policy, first_send, period) == walked
+        assert engine._decisions_before(tdma, policy.delay.slots, scenario.warmup_slots,
+                                        period) == walked
 
 
 @pytest.mark.parametrize("skip", [0, 1, 7, 12345, 10**6])
@@ -645,6 +711,29 @@ def test_sweep_rejects_a_value_that_is_not_a_whole_number(monkeypatch, name, val
                        match=f"^sweep parameter {name!r} takes whole numbers, got "):
         sweep(base, [("q", [0.2]), (name, [3, value])])
     assert not calls   # no point ran
+
+
+@pytest.mark.parametrize("name", ["q", "p"])
+@pytest.mark.parametrize("value", [True, np.bool_(False), "0.3", None, 0.5j])
+def test_sweep_rejects_a_value_that_is_not_a_real_number(monkeypatch, name, value):
+    calls = collections.Counter()
+    monkeypatch.setattr(engine, "_simulate", _counted(calls, "point", engine._simulate))
+    base = Scenario((_ma(0, 1), _tdma(1, 0, 5, {0}), _aloha(2, 0, 0.5)), horizon=100, seed=11)
+    with pytest.raises(ValidationError,
+                       match=f"^sweep parameter {name!r} takes real numbers, got "):
+        sweep(base, [("seed", [3]), (name, [0.2, value])])
+    assert not calls   # no point ran
+
+
+def test_sweep_leaves_real_values_out_of_range_to_the_points():
+    # nan, inf and an out-of-range q, and a p that is no whole number of slots,
+    # are errors of their own points only
+    base = Scenario((_ma(0, 1), _tdma(1, 0, 5, {0}), _aloha(2, 0, 0.5)), horizon=100, seed=11)
+    points = sweep(base, [("q", [math.nan, math.inf, 1.5, np.float32(0.25)]),
+                          ("p", [0.3, np.float64(0.2)])])
+    assert [point.report is not None for point in points] == [False] * 7 + [True]
+    assert all("in [0, 1]" in point.error for point in points[:6])
+    assert "not a whole number of slots" in points[6].error
 
 
 def test_sweep_takes_python_and_numpy_integers():
