@@ -40,7 +40,11 @@ window and the first block's profile, held in a `_Plan`.
 attaches the oracle. `sweep` keeps its last valid plan: a point whose
 parameters other than `seed` equal those that built it checks only its seed
 (`seed_errors`, the rule `validate_scenario` applies) and simulates that plan.
-So a grid that lists `seed` last builds one plan per run of seeds.
+So a grid that lists `seed` last builds one plan per run of seeds. Whatever
+the position of `seed` in the grid, `sweep` seeds each listed seed's ALOHA
+generators through `node_rng` once per sweep, keeps their state after
+seeding, and at every later point restores it on one reused generator per
+ALOHA node and range, which then draws exactly what a fresh one would.
 """
 from __future__ import annotations
 
@@ -49,7 +53,7 @@ import math
 import numbers
 import os
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -271,8 +275,16 @@ def run(scenario: Scenario) -> SimReport:
     return _simulate(_plan(scenario), scenario.seed)
 
 
-def _simulate(plan: _Plan, seed: int) -> SimReport:
-    """The run of `plan`'s scenario at `seed`, a valid seed."""
+def _simulate(plan: _Plan, seed: int,
+              seeded: Callable[[int, NodeId, int], np.random.Generator] | None = None
+              ) -> SimReport:
+    """The run of `plan`'s scenario at `seed`, a valid seed.
+
+    `seeded(seed, node_id, r)`, when given, stands in for `node_rng(seed,
+    node_id)`: it returns the generator that range r draws ALOHA node
+    `node_id`'s sends from, in the state `node_rng` leaves, and no other range
+    of the run draws from it.
+    """
     start, horizon, members = plan.start, plan.horizon, plan.members
     cap = min(plan.block, horizon)
     rows = len(plan.aloha) + len(plan.tdma) + len(members)
@@ -282,10 +294,10 @@ def _simulate(plan: _Plan, seed: int) -> SimReport:
     ranges = min(WORKERS, blocks)
     bounds = [start + blocks * r // ranges * plan.block for r in range(ranges)] + [start + horizon]
     work = []
-    for begin, end in zip(bounds, bounds[1:]):
+    for r, (begin, end) in enumerate(zip(bounds, bounds[1:])):
         aloha = []   # (generator at AP slot `begin`, q) of each ALOHA node
         for node_id, delay, q in plan.aloha:
-            rng = node_rng(seed, node_id)
+            rng = node_rng(seed, node_id) if seeded is None else seeded(seed, node_id, r)
             # arrival at AP slot a came from send slot a - d; start >= max delay
             rng.bit_generator.advance(begin - delay)
             aloha.append((rng, q))
@@ -418,7 +430,9 @@ def sweep(base: Scenario, grid: Sequence[tuple[str, Sequence]]) -> list[SweepPoi
     deterministically from (base seed, point index).
 
     A point whose parameters other than `seed` equal those that built the last
-    valid plan (`_plan`) reuses it: only its seed is checked and drawn.
+    valid plan (`_plan`) reuses it: only its seed is checked and drawn. Each
+    seed that the grid lists is seeded once per sweep and ALOHA node, wherever
+    `seed` stands in the grid; a derived seed is seeded at its point.
     Grid-point failures are recorded on the point and the sweep continues.
     An unknown or repeated name, or a value of the wrong kind (`q` and `p` take
     real numbers, the others whole ones), raises ValidationError before any point runs.
@@ -443,6 +457,22 @@ def sweep(base: Scenario, grid: Sequence[tuple[str, Sequence]]) -> list[SweepPoi
         raise ValidationError(mistyped)
     fixed = [i for i, name in enumerate(names) if name != "seed"]
     plan = key = None   # the last valid plan and the values but the seed it was built for
+    states = {}         # (listed seed, ALOHA node id): its generator's state after seeding
+    reused = {}         # (ALOHA node id, range): the generator that range draws from
+
+    def seeded(seed: int, node_id: NodeId, r: int) -> np.random.Generator:
+        """`node_rng(seed, node_id)`'s generator, seeded once per sweep and
+        then only restored, on range r's own generator object."""
+        if (seed, node_id) not in states:
+            states[seed, node_id] = node_rng(seed, node_id).bit_generator.state
+        if (node_id, r) not in reused:
+            reused[node_id, r] = np.random.Generator(np.random.PCG64(0))
+        rng = reused[node_id, r]
+        rng.bit_generator.state = states[seed, node_id]
+        return rng
+
+    # a derived seed serves one point only, so it is seeded as `run` seeds it
+    source = seeded if "seed" in names else None
     points = []
     for index, combo in enumerate(itertools.product(*(values for _, values in grid))):
         params = dict(zip(names, combo))
@@ -458,7 +488,7 @@ def sweep(base: Scenario, grid: Sequence[tuple[str, Sequence]]) -> list[SweepPoi
                 errors = seed_errors(seed)
                 if errors:
                     raise ValidationError(errors)
-            points.append(SweepPoint(index, params, seed, _simulate(plan, seed), None))
+            points.append(SweepPoint(index, params, seed, _simulate(plan, seed, source), None))
         except (ValidationError, ContractViolation) as exc:
             points.append(SweepPoint(index, params, seed, None, str(exc)))
     return points

@@ -97,10 +97,14 @@ def optimal_aloha(q: Sequence[float]) -> OracleResult:
     return optimal_mixed(0.0, q)
 
 
-def expected_mixed_throughput(b: float, p: float, q: Sequence[float]) -> float:
-    """F(b) = p * prod(1 - q_i) + (1 - p) * f(b) with p the TDMA share of slots."""
-    _check_unit("p", p)
-    return p * prob_all_silent(q) + (1.0 - p) * expected_slot_throughput(b, q)
+def expected_mixed_throughput(b: float, p: float, q: Sequence[float],
+                              blocked: float = 0.0) -> float:
+    """F(b) = p * prod(1 - q_i) + (1 - p - blocked) * f(b) with p the share of
+    AP slots that see exactly one TDMA arrival and `blocked` the share that see
+    several, as in `optimal_mixed`."""
+    for name, value in (("p", p), ("blocked", blocked), ("p + blocked", p + blocked)):
+        _check_unit(name, value)
+    return p * prob_all_silent(q) + ((1.0 - p) - blocked) * expected_slot_throughput(b, q)
 
 
 def optimal_mixed(p: float, q: Sequence[float], blocked: float = 0.0) -> OracleResult:

@@ -834,6 +834,26 @@ def test_a_sweep_builds_one_plan_per_run_of_seeds(monkeypatch):
     assert by_params(seed_first) == by_params(seed_last)
 
 
+def test_a_sweep_seeds_each_listed_seed_once_per_aloha_node(monkeypatch):
+    calls = collections.Counter()
+    monkeypatch.setattr(engine, "node_rng", _counted(calls, "seeded", engine.node_rng))
+    monkeypatch.setattr(engine, "WORKERS", 1)
+    base = Scenario((_ma(0, 1), _tdma(1, 2, 10, {0}), _aloha(2, 0, 0.3), _aloha(3, 1, 0.1)),
+                    horizon=300, seed=5)
+    q, p, seed = ("q", [0.2, 0.7]), ("p", [0.1, 0.2, 0.5]), ("seed", [1, 2, 3, 4])
+    # 4 listed seeds x 2 ALOHA nodes, wherever the seeds stand; with no seed
+    # listed, each of the 6 points is seeded at its derived seed
+    for grid, seeded in (([q, p, seed], 8), ([seed, q, p], 8), ([q, p], 6 * 2)):
+        calls.clear()
+        points = sweep(base, grid)
+        assert calls == {"seeded": seeded}
+        for point in points:
+            scenario = base
+            for name, value in point.params.items():
+                scenario = engine._apply_parameter(scenario, name, value)
+            assert point.report == run(dataclasses.replace(scenario, seed=point.seed))
+
+
 def test_monte_carlo_consistency_four_sigma():
     cases = [
         (Scenario((_ma(0, 1), _aloha(1, 3, 0.3)), horizon=100_000, seed=2001), 0.7),

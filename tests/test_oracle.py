@@ -183,6 +183,28 @@ def test_optimal_mixed_without_blocked_slots_keeps_the_frame_formula():
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(q=st.lists(st.floats(0.0, 1.0), max_size=6), horizon=st.integers(1, 12),
        data=st.data())
+def test_expected_mixed_endpoints_give_the_optimum_with_blocked_slots(q, horizon, data):
+    # a window of `horizon` AP slots with `single` lone and `blocked` overlapping arrivals
+    single = data.draw(st.integers(0, horizon))
+    blocked = data.draw(st.integers(0, horizon - single))
+    p, blocked = single / horizon, blocked / horizon
+    best = max(expected_mixed_throughput(0.0, p, q, blocked),
+               expected_mixed_throughput(1.0, p, q, blocked))
+    assert abs(best - optimal_mixed(p, q, blocked).optimal_throughput) <= 1e-15
+    # with no blocked share the frame formula holds bit for bit
+    assert expected_mixed_throughput(0.3, p, q) == (
+        p * prob_all_silent(q) + (1.0 - p) * expected_slot_throughput(0.3, q))
+
+
+def test_expected_mixed_rejects_shares_outside_the_unit_interval():
+    for p, blocked in ((-0.1, 0.0), (0.0, -0.1), (0.0, 1.5), (0.6, 0.6)):
+        with pytest.raises(ValidationError):
+            expected_mixed_throughput(0.5, p, [0.3], blocked)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(q=st.lists(st.floats(0.0, 1.0), max_size=6), horizon=st.integers(1, 12),
+       data=st.data())
 def test_optimal_mixed_ignores_the_order_of_q(q, horizon, data):
     single = data.draw(st.integers(0, horizon))
     blocked = data.draw(st.integers(0, horizon - single))
