@@ -17,7 +17,7 @@ from .bruteforce import (ENUMERATION_HORIZON_LIMIT, HorizonLimitError,
                          policy_sequence, ActionSequence)
 from .core import (Action, AlohaRole, ContractViolation, Delay, ModelAwareRole,
                    NodeSpec, Scenario, TdmaRole, TdmaSchedule, ValidationError,
-                   delay_from_distance, validate_scenario)
+                   delay_from_distance, is_real, validate_scenario)
 from .engine import (SimReport, check_tolerance, compare_to_oracle,
                      default_tolerance, run, sweep)
 
@@ -32,10 +32,6 @@ CSV_COLUMNS = ["scenario_id", "seed", "measured_slots", "successes", "collisions
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _construct(errors: list[str], path: str, make, *args):
@@ -74,7 +70,7 @@ def _parse_role(doc, path: str, errors: list[str]):
         return None if schedule is None else TdmaRole(schedule)
     if kind == "aloha":
         q = body.get("q")
-        if not _is_number(q):
+        if not is_real(q):
             errors.append(f"{path}.aloha.q: expected a number")
             return None
         return _construct(errors, f"{path}.aloha.q", AlohaRole, q)
@@ -104,7 +100,7 @@ def _parse_delay(doc, path: str, errors: list[str]):
     if not isinstance(geometry, dict):
         errors.append(f"{path}.geometry: expected an object")
         return None
-    untyped = [key for key in GEOMETRY_KEYS if not _is_number(geometry.get(key))]
+    untyped = [key for key in GEOMETRY_KEYS if not is_real(geometry.get(key))]
     if untyped:
         errors.extend(f"{path}.geometry.{key}: expected a number" for key in untyped)
         return None

@@ -8,6 +8,7 @@ more collide, zero is idle.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -223,6 +224,11 @@ def validate_scenario(scenario: Scenario) -> list[str]:
     errors += seed_errors(scenario.seed)
     errors += gateway_strict_errors(scenario)
     return errors
+
+
+def is_real(value) -> bool:
+    """Whether `value` is a Python or numpy real number other than a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _is_finite(value: float) -> bool:

@@ -34,12 +34,14 @@ nodes / 8)) per range, whatever the horizon and warm-up.
 
 A run is `_plan` then `_simulate`. `_plan` does all that the scenario fixes
 whatever its seed: validation, the period and block, the policy's branch
-(all that the engine asks of `policies`), the gateway's decisions before the
-window and the first block's profile, held in a `_Plan`.
-`_simulate` makes the ALOHA generators at the seed, counts the ranges and
-attaches the oracle. `sweep` keeps its last valid plan: a point whose
-parameters other than `seed` equal those that built it checks only its seed
-(`seed_errors`, the rule `validate_scenario` applies) and simulates that plan.
+(all that the engine asks of `policies`), the first block's profile, and the
+window's TDMA classes, its cross collisions and the oracle at them, held in a
+`_Plan`. One counter of the classes (`_tdma_classes`) also gives the gateway's
+decisions before the window. `_simulate` makes the ALOHA generators at the
+seed, counts the ranges and attaches the plan's oracle. `sweep` keeps its last
+valid plan: a point whose parameters other than `seed` equal those that built
+it checks only its seed (`seed_errors`, the rule `validate_scenario` applies)
+and simulates that plan.
 So a grid that lists `seed` last builds one plan per run of seeds. Whatever
 the position of `seed` in the grid, `sweep` seeds each listed seed's ALOHA
 generators through `node_rng` once per sweep, keeps their state after
@@ -58,7 +60,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import (Action, AlohaRole, ContractViolation, NodeId, NodeSpec, Scenario,
-                   TdmaRole, TdmaSchedule, ValidationError, seed_errors,
+                   TdmaRole, TdmaSchedule, ValidationError, is_real, seed_errors,
                    validate_scenario)
 from .oracle import OracleResult, optimal_mixed
 from .policies import build_model_aware_policy, tdma_slot_mask
@@ -96,19 +98,22 @@ class SimReport:
     deviation: float | None = None
 
 
-def _decisions_before(tdma: Sequence, delay: int, start: int, period: int) -> int:
-    """The transmit branch's decisions before AP slot `start` for a stream of
-    delay `delay`: the AP slots delay .. start - 1 that no TDMA packet reaches.
-    From AP slot `settle` on they repeat every `period` slots (the lcm of the
-    frames), so one period counts for all the whole ones."""
-    def free(begin: int, end: int) -> int:
-        blocks = (_BlockProfile.build(tdma, False, 0, a, min(BLOCK_SLOTS, end - a))
-                  for a in range(begin, end, BLOCK_SLOTS))
-        return sum(block.count - block.single - block.cross for block in blocks)
-    settle = max([delay] + [node.delay.slots for node in tdma])
-    full = max(0, (start - settle) // period)
-    head = start - full * period
-    return free(delay, head) + (full * free(head, head + period) if full else 0)
+def _tdma_classes(tdma: Sequence, begin: int, end: int, period: int) -> tuple[int, int]:
+    """(single, cross): how many of AP slots begin .. end - 1 exactly one TDMA
+    packet reaches, and how many two or more. From AP slot `settle` on the
+    arrivals repeat every `period` slots (the lcm of the frames), so one
+    period counts for all the whole ones."""
+    settle = max([begin] + [node.delay.slots for node in tdma])
+    full = max(0, (end - settle) // period)
+    head = end - full * period
+    single = cross = 0
+    # begin .. head - 1 once, then one period from head for each whole one
+    for first, last, times in ((begin, head, 1), (head, head + period if full else head, full)):
+        for a in range(first, last, BLOCK_SLOTS):
+            block = _BlockProfile.build(tdma, False, 0, a, min(BLOCK_SLOTS, last - a))
+            single += times * block.single
+            cross += times * block.cross
+    return single, cross
 
 
 class _BlockProfile:
@@ -171,8 +176,8 @@ def _range_buffers(slots: int, rows: int) -> tuple:
 
 @dataclass(frozen=True)
 class _Plan:
-    """What a valid scenario fixes whatever its seed: everything a run does
-    before it makes its first ALOHA generator. Ranges read it and never write it."""
+    """What a valid scenario fixes whatever its seed, oracle included: all of a run
+    but the draws and what they decide. Ranges read it and never write it."""
 
     nodes: int                      # the ids are 0 .. nodes - 1
     aloha: tuple                    # (id, delay slots, q) of each ALOHA node, by id
@@ -185,10 +190,12 @@ class _Plan:
     members: tuple[NodeId, ...]     # its members, by id
     sent: int                       # its transmit decisions before the window
     profile: _BlockProfile          # of the window's first block
+    cross: int                      # the window's AP slots of two or more TDMA arrivals
+    oracle: OracleResult | None     # at the window's classes; None without a stream
 
 
 def _plan(scenario: Scenario) -> _Plan:
-    """Validate `scenario` and build everything of its run but the draws."""
+    """Validate `scenario` and build all of its run that does not depend on the seed."""
     errors = validate_scenario(scenario)
     if errors:
         raise ValidationError(errors)
@@ -201,17 +208,20 @@ def _plan(scenario: Scenario) -> _Plan:
     group = scenario.model_aware_nodes   # its members share one delay
     members = tuple(n.id for n in group)
     k = len(members)
-    transmit = False
-    sent = 0
+    transmit, sent, oracle = False, 0, None
+    single, cross = _tdma_classes(tdma, start, start + horizon, period)
     if members:
         transmit = build_model_aware_policy(scenario).default_action is Action.TRANSMIT
-        # the gateway's transmit decisions before the window set whose turn it starts with
+        # the gateway's decisions before the window, its free AP slots, set its first turn
         if k > 1 and transmit:
-            sent = _decisions_before(tdma, group[0].delay.slots, start, period)
+            delay = group[0].delay.slots
+            sent = start - delay - sum(_tdma_classes(tdma, delay, start, period))
+        oracle = optimal_mixed(single / horizon, scenario.aloha_probs, cross / horizon)
     return _Plan(len(scenario.nodes),
                  tuple((n.id, n.delay.slots, n.role.q) for n in scenario.aloha_nodes),
                  tdma, start, horizon, period, block, transmit, members, sent,
-                 _BlockProfile.build(tdma, transmit, k, start, min(block, horizon)))
+                 _BlockProfile.build(tdma, transmit, k, start, min(block, horizon)),
+                 cross, oracle)
 
 
 def _count_range(plan: _Plan, begin: int, end: int, aloha: Sequence, buffers: tuple) -> tuple:
@@ -219,9 +229,9 @@ def _count_range(plan: _Plan, begin: int, end: int, aloha: Sequence, buffers: tu
 
     `aloha` holds each ALOHA node's (generator at slot `begin`, q). `buffers`
     come from `_range_buffers`, made by the caller and written in place: the
-    ALOHA nodes' sends, then a profile's rows. Returns (collisions, cross,
-    single, successes per row, decisions): the rows are the ALOHA nodes, the
-    TDMA nodes, then turn j of the range's decisions.
+    ALOHA nodes' sends, then a profile's rows. Returns (collisions, successes
+    per row, decisions): the rows are the ALOHA nodes, the TDMA nodes, then
+    turn j of the range's decisions.
     """
     start, block, period, tdma, transmit = (plan.start, plan.block, plan.period,
                                             plan.tdma, plan.transmit)
@@ -230,7 +240,7 @@ def _count_range(plan: _Plan, begin: int, end: int, aloha: Sequence, buffers: tu
     words, first_fixed = packed.view(np.uint64), len(aloha)
     fixed = first_fixed + len(tdma)   # the row of turn 0
     totals = [0] * (fixed + k)
-    collisions = cross = single = decided = 0
+    collisions = decided = 0
     phase = 0
     for first in range(begin, end, block):
         n = min(block, end - first)
@@ -260,9 +270,7 @@ def _count_range(plan: _Plan, begin: int, end: int, aloha: Sequence, buffers: tu
         for turn in range(k):
             totals[fixed + (decided + turn) % k] += won[fixed + turn]
         decided += profile.decided
-        cross += profile.cross
-        single += profile.single
-    return collisions, cross, single, totals, decided
+    return collisions, totals, decided
 
 
 def run(scenario: Scenario) -> SimReport:
@@ -278,7 +286,7 @@ def run(scenario: Scenario) -> SimReport:
 def _simulate(plan: _Plan, seed: int,
               seeded: Callable[[int, NodeId, int], np.random.Generator] | None = None
               ) -> SimReport:
-    """The run of `plan`'s scenario at `seed`, a valid seed.
+    """Count `plan`'s ranges at `seed`, a valid seed, and attach the plan's oracle.
 
     `seeded(seed, node_id, r)`, when given, stands in for `node_rng(seed,
     node_id)`: it returns the generator that range r draws ALOHA node
@@ -312,14 +320,12 @@ def _simulate(plan: _Plan, seed: int,
             counted = [_count_range(*work[0])]
         counted += [job.result() for job in jobs]
 
-    collisions = cross = single = 0
+    collisions = 0
     per_node = dict.fromkeys(range(plan.nodes), 0)
     ids = [node_id for node_id, _, _ in plan.aloha] + [node.id for node in plan.tdma]
     k, sent = len(members), plan.sent
-    for lost, crossed, singles, totals, decided in counted:
+    for lost, totals, decided in counted:
         collisions += lost
-        cross += crossed
-        single += singles
         for node_id, count in zip(ids, totals):
             per_node[node_id] += count
         # transmit decision i from send slot 0 on goes to members[i mod k],
@@ -330,17 +336,14 @@ def _simulate(plan: _Plan, seed: int,
     successes = sum(per_node.values())   # every success slot has exactly one sender
     empirical = successes / horizon
 
-    oracle = deviation = None
-    if members:
-        probs = tuple(q for _, _, q in plan.aloha)
-        oracle = optimal_mixed(single / horizon, probs, cross / horizon)
-        deviation = abs(empirical - oracle.optimal_throughput)
+    oracle = plan.oracle
+    deviation = None if oracle is None else abs(empirical - oracle.optimal_throughput)
     return SimReport(measured_slots=horizon, successes=successes,
                      collisions=collisions, idle=horizon - successes - collisions,
                      per_node_successes=per_node,
                      empirical_throughput=empirical,
                      warmup_slots=start,
-                     tdma_cross_collisions=cross,
+                     tdma_cross_collisions=plan.cross,
                      oracle=oracle, deviation=deviation)
 
 
@@ -389,14 +392,9 @@ def _derive_seed(base_seed: int, index: int) -> int:
     return int(np.random.SeedSequence([base_seed, index]).generate_state(1, np.uint64)[0])
 
 
-def _is_real(value) -> bool:
-    """Whether `value` is a Python or numpy real number other than a bool."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
 def _is_whole(value) -> bool:
     """Whether `value` is a Python or numpy integer, or a float of integral value."""
-    return _is_real(value) and (isinstance(value, numbers.Integral)
+    return is_real(value) and (isinstance(value, numbers.Integral)
                                 or float(value).is_integer())
 
 
@@ -450,7 +448,7 @@ def sweep(base: Scenario, grid: Sequence[tuple[str, Sequence]]) -> list[SweepPoi
         raise ValidationError([f"sweep parameter {name!r} given twice" for name in repeated])
     mistyped = []
     for name, values in grid:
-        kind, fits = ("real", _is_real) if name in ("q", "p") else ("whole", _is_whole)
+        kind, fits = ("real", is_real) if name in ("q", "p") else ("whole", _is_whole)
         mistyped += [f"sweep parameter {name!r} takes {kind} numbers, got {value!r}"
                      for value in values if not fits(value)]
     if mistyped:

@@ -307,7 +307,8 @@ def _counted(calls, name, function):
 
 def test_block_profile_is_built_once_per_phase(monkeypatch):
     # frames 5 and 3 repeat every 15 AP slots, so every block of the window
-    # starts at phase 0 and only the short last block needs a profile of its own
+    # starts at phase 0 and only the short last block needs a profile of its own;
+    # the plan counts the window's TDMA classes off one period and the remainder
     calls = collections.Counter()
     monkeypatch.setattr(engine, "tdma_slot_mask",
                         _counted(calls, "tdma", engine.tdma_slot_mask))
@@ -319,45 +320,47 @@ def test_block_profile_is_built_once_per_phase(monkeypatch):
         calls.clear()
         report = run(Scenario(nodes, horizon=blocks * engine.BLOCK_SLOTS, seed=3))
         assert min(report.per_node_successes[m] for m in range(3)) > 0
-        assert calls == {"tdma": 4}
+        assert calls == {"tdma": 8}
 
 
 def test_helpers_make_no_generator_and_ask_no_policy(monkeypatch):
     # frames 5 and 3 repeat every 15 AP slots, more than a block of 7, so the
-    # helper's range builds profiles of its own; generators and the warm-up's
-    # turn count still happen on the calling thread only, and nothing asks the
-    # policy for a forbidden slot
+    # helper's range builds profiles of its own; generators and the plan's
+    # count of the TDMA classes (window and warm-up turns) still happen on the
+    # calling thread only, and nothing asks the policy for a forbidden slot
     caller = threading.current_thread()
     calls = collections.Counter()
-    warming = []
+    counting, spans = [], []
 
     def on_thread(name, function):
         def wrapper(*args):
-            calls[name + " in warm-up" * bool(warming),
+            calls[name + " in classes" * bool(counting),
                   threading.current_thread() is caller] += 1
             return function(*args)
         return wrapper
 
-    def warm_up(*args):
-        warming.append(True)
+    def classes(tdma, begin, end, period):
+        spans.append((begin, end, threading.current_thread() is caller))
+        counting.append(True)
         try:
-            return decisions_before(*args)
+            return tdma_classes(tdma, begin, end, period)
         finally:
-            warming.pop()
+            counting.pop()
 
-    decisions_before = engine._decisions_before
+    tdma_classes = engine._tdma_classes
     monkeypatch.setattr(engine, "BLOCK_SLOTS", 7)
     monkeypatch.setattr(engine, "WORKERS", 2)
     monkeypatch.setattr(engine, "node_rng", on_thread("rng", engine.node_rng))
     monkeypatch.setattr(engine, "tdma_slot_mask", on_thread("tdma", engine.tdma_slot_mask))
-    monkeypatch.setattr(engine, "_decisions_before", warm_up)
+    monkeypatch.setattr(engine, "_tdma_classes", classes)
     monkeypatch.setattr(policies, "compute_forbidden_send_slots",
                         on_thread("policy", policies.compute_forbidden_send_slots))
     nodes = (_ma(0, 2), _ma(1, 2), _tdma(2, 1, 5, {0}), _tdma(3, 4, 3, {1}),
              _aloha(4, 3, 0.05), _aloha(5, 0, 0.1))
     report = run(Scenario(nodes, horizon=200, warmup=40, seed=6))
     assert report.oracle.chosen_branch is Branch.TRANSMIT
-    assert calls["tdma", False] > 0 and calls["tdma in warm-up", True] > 0
+    assert calls["tdma", False] > 0 and calls["tdma in classes", True] > 0
+    assert spans == [(40, 240, True), (2, 40, True)]   # the window, then the warm-up
     assert calls["rng", True] == 4   # two ALOHA nodes in each of two ranges
     assert {name for name, on_caller in calls if not on_caller} == {"tdma"}
     assert not any(name == "policy" for name, _ in calls)
@@ -406,6 +409,17 @@ def window_blocks(draw):
     return Scenario(tuple(nodes), horizon=horizon, warmup=start, seed=0), first, count
 
 
+def _tdma_arrivals(tdma, first, count):
+    """Row i: whether TDMA node i's packet reaches AP slots first .. first + count - 1,
+    walked slot by slot."""
+    # AP slot a hears a TDMA node of delay d from send slot a - d, if that is >= 0
+    arrivals = np.zeros((len(tdma), count), dtype=bool)
+    for row, n in enumerate(tdma):
+        heard = np.arange(first, first + count) >= n.delay.slots
+        arrivals[row] = tdma_slot_mask(n.role.schedule, first - n.delay.slots, count) & heard
+    return arrivals
+
+
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @given(case=window_blocks())
 def test_decisions_are_the_complement_of_the_tdma_arrivals(case):
@@ -414,11 +428,7 @@ def test_decisions_are_the_complement_of_the_tdma_arrivals(case):
     transmit = policy.default_action is Action.TRANSMIT
     decisions = policy.transmit_mask(first - policy.delay.slots, count)
     tdma = scenario.tdma_nodes
-    # AP slot a hears a TDMA node of delay d from send slot a - d, if that is >= 0
-    arrivals = np.zeros((len(tdma), count), dtype=bool)
-    for row, n in enumerate(tdma):
-        heard = np.arange(first, first + count) >= n.delay.slots
-        arrivals[row] = tdma_slot_mask(n.role.schedule, first - n.delay.slots, count) & heard
+    arrivals = _tdma_arrivals(tdma, first, count)
     assert np.array_equal(decisions, ~arrivals.any(axis=0) if transmit
                           else np.zeros(count, dtype=bool))
     # the profile holds those arrivals, those decisions in turns, and the planes
@@ -460,8 +470,9 @@ def test_a_short_block_is_the_start_of_a_full_one(case, data):
 def warm_gateways(draw):
     """A transmit-branch gateway against 0 to 3 TDMA nodes with frames 1 to 9
     or longer than BLOCK_SLOTS and delays on either side of the gateway's; a
-    warm-up up to 3000 slots or up to several blocks of BLOCK_SLOTS; and the
-    block size the count walks in, which is at least 1000 on a long warm-up."""
+    warm-up up to 3000 slots or up to several blocks of BLOCK_SLOTS; the block
+    size the count walks in, which is at least 1000 on a long warm-up; and a
+    horizon of 1 to 3 such blocks, shorter or longer than the frames' lcm."""
     ma_delay = draw(st.integers(0, 4))
     nodes = [_ma(i, ma_delay) for i in range(draw(st.integers(2, 3)))]
     for _ in range(draw(st.integers(0, 3))):
@@ -473,24 +484,30 @@ def warm_gateways(draw):
     span = draw(st.integers(0, 3000)
                 | st.integers(engine.BLOCK_SLOTS, 4 * engine.BLOCK_SLOTS))
     block = draw(st.sampled_from([1, 7, 1000, 65536] if span <= 3000 else [1000, 65536]))
-    return Scenario(tuple(nodes), horizon=1, warmup=max_delay + span, seed=0), block
+    horizon = draw(st.integers(1, 3 * block))
+    return Scenario(tuple(nodes), horizon=horizon, warmup=max_delay + span, seed=0), block
 
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(case=warm_gateways())
 def test_warmup_decision_count_matches_a_plain_walk(case):
-    # counting free AP slots over whole periods equals walking the policy's warm-up
+    # counting the TDMA classes over whole periods equals walking the policy's
+    # warm-up, whose decisions are the AP slots no TDMA packet reaches, and
+    # walking the window's arrivals slot by slot
     scenario, block = case
     policy = build_model_aware_policy(scenario)
-    first_send = scenario.warmup_slots - policy.delay.slots
+    delay, start, horizon = policy.delay.slots, scenario.warmup_slots, scenario.horizon
+    first_send = start - delay
     walked = sum(int(np.count_nonzero(policy.transmit_mask(s, min(997, first_send - s))))
                  for s in range(0, first_send, 997))
     tdma = scenario.tdma_nodes
     period = math.lcm(*(n.role.schedule.frame_length for n in tdma))
+    senders = _tdma_arrivals(tdma, start, horizon).sum(axis=0)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(engine, "BLOCK_SLOTS", block)
-        assert engine._decisions_before(tdma, policy.delay.slots, scenario.warmup_slots,
-                                        period) == walked
+        assert first_send - sum(engine._tdma_classes(tdma, delay, start, period)) == walked
+        assert engine._tdma_classes(tdma, start, start + horizon, period) == (
+            np.count_nonzero(senders == 1), np.count_nonzero(senders >= 2))
 
 
 @pytest.mark.parametrize("skip", [0, 1, 7, 12345, 10**6])
@@ -852,6 +869,25 @@ def test_a_sweep_seeds_each_listed_seed_once_per_aloha_node(monkeypatch):
             for name, value in point.params.items():
                 scenario = engine._apply_parameter(scenario, name, value)
             assert point.report == run(dataclasses.replace(scenario, seed=point.seed))
+
+
+def test_a_sweep_works_the_oracle_out_once_per_plan(monkeypatch):
+    # the oracle's inputs are the window's TDMA classes and q, which the seed does not move
+    calls = collections.Counter()
+    monkeypatch.setattr(engine, "optimal_mixed", _counted(calls, "oracle", engine.optimal_mixed))
+    monkeypatch.setattr(engine, "_plan", _counted(calls, "plan", engine._plan))
+    base = Scenario((_ma(0, 1), _tdma(1, 2, 10, {0}), _aloha(2, 0, 0.3), _aloha(3, 1, 0.1)),
+                    horizon=300, seed=5)
+    q, seed = ("q", [0.2, 0.7]), ("seed", [1, 2, 3, 4])
+    for grid, plans in (([q, seed], 2), ([seed, q], 8)):
+        calls.clear()
+        points = sweep(base, grid)
+        assert calls == {"plan": plans, "oracle": plans}
+        for point in points:
+            scenario = engine._apply_parameter(base, "q", point.params["q"])
+            calls.clear()
+            assert point.report == run(dataclasses.replace(scenario, seed=point.seed))
+            assert calls == {"plan": 1, "oracle": 1}
 
 
 def test_monte_carlo_consistency_four_sigma():
