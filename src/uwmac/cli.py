@@ -222,9 +222,9 @@ def _write_csv(out_path: str | None, fieldnames: list[str], rows: list[dict]) ->
     """Write rows to out_path, or to stdout when it is None; absent keys stay empty."""
     with (contextlib.nullcontext(sys.stdout) if out_path is None
           else open(out_path, "w", newline="")) as handle:
-        writer = csv.DictWriter(handle, fieldnames=fieldnames, lineterminator="\n")
-        writer.writeheader()
-        writer.writerows({key: _fmt(row.get(key)) for key in fieldnames} for row in rows)
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(fieldnames)
+        writer.writerows([_fmt(row.get(key)) for key in fieldnames] for row in rows)
 
 
 def _input_error(errors: list[str]) -> int:

@@ -25,7 +25,7 @@ WORKERS being the CPUs the process may use: range r takes blocks
 blocks x r // R onward. The calling thread counts range 0, and R - 1 helper
 threads, started for the run and joined before it returns, count the others;
 the ranges' integer totals are merged in range order. A range reads only the
-plan and what the calling thread made for it: its buffers and its own fresh
+plans and what the calling thread made for it: its buffers and its own fresh
 generators, advanced to its first slot. So every generator is drawn by exactly
 one thread, in slot order, and a run stays a pure function of (scenario,
 seed), whatever the CPU count. A run of one block, or on one CPU, starts no
@@ -36,17 +36,32 @@ A run is `_plan` then `_simulate`. `_plan` does all that the scenario fixes
 whatever its seed: validation, the period and block, the policy's branch
 (all that the engine asks of `policies`), the first block's profile, and the
 window's TDMA classes, its cross collisions and the oracle at them, held in a
-`_Plan`. One counter of the classes (`_tdma_classes`) also gives the gateway's
-decisions before the window. `_simulate` makes the ALOHA generators at the
-seed, counts the ranges and attaches the plan's oracle. `sweep` keeps its last
-valid plan: a point whose parameters other than `seed` equal those that built
-it checks only its seed (`seed_errors`, the rule `validate_scenario` applies)
-and simulates that plan.
-So a grid that lists `seed` last builds one plan per run of seeds. Whatever
-the position of `seed` in the grid, `sweep` seeds each listed seed's ALOHA
-generators through `node_rng` once per sweep, keeps their state after
-seeding, and at every later point restores it on one reused generator per
-ALOHA node and range, which then draws exactly what a fresh one would.
+`_Plan`. A window of one block reads its classes off that profile; one
+counter of the classes (`_tdma_classes`) gives those of a longer window and
+the gateway's decisions before the window.
+
+`_simulate` counts lanes. A lane is a (plan, seed) pair, and the lanes of one
+call share start, horizon, block and node layout; `run` is a call of one
+lane. The lanes are sorted by seed and each distinct seed's ALOHA generators
+are made once. `_count_range` then counts every lane of a range in one pass
+per block: each seed's generator of a node draws once, one broadcast
+comparison at each lane's own q turns the draws into the sends of all that
+seed's lanes, and the packing, the planes, the counts and the reduction run
+once on arrays with a leading lane axis. Each report gets its own plan's
+oracle.
+
+`sweep` keeps its last valid plan: a point whose parameters other than `seed`
+equal those that built it checks only its seed (`seed_errors`, the rule
+`validate_scenario` applies) and reuses that plan. So a grid that lists
+`seed` last builds one plan per run of seeds. Consecutive valid points that
+share warm-up and horizon are counted together, in batches of at most
+BLOCK_SLOTS // min(block, horizon) lanes. So a batch's buffers are never
+larger than one run's, and a batch of several lanes has a window of one block:
+one range and no profile to rebuild. Whatever the position of `seed` in the
+grid, `sweep` seeds each listed seed's ALOHA generators through `node_rng`
+once per sweep, keeps their state after seeding, and at every later batch
+restores it on one reused generator per ALOHA node and (range, seed) slot,
+which then draws exactly what a fresh one would.
 """
 from __future__ import annotations
 
@@ -166,12 +181,13 @@ class _BlockProfile:
         return cls(count, packed, k)
 
 
-def _range_buffers(slots: int, rows: int) -> tuple:
-    """A range's buffers for blocks of up to `slots` AP slots: the draws, the
-    send flags, and `rows` rows of packed sends plus the two planes of a
-    `_BlockProfile`, in bytes that a whole number of 64-bit words holds."""
-    return (np.empty(slots), np.empty(slots, dtype=bool),
-            np.zeros((rows + 2, -(-slots // 64) * 8), dtype=np.uint8))
+def _range_buffers(lanes: int, slots: int, rows: int) -> tuple:
+    """A range's buffers for blocks of up to `slots` AP slots: one node's draws,
+    and for each of `lanes` lanes the send flags and `rows` rows of packed
+    sends plus the two planes of a `_BlockProfile`, in bytes that a whole
+    number of 64-bit words holds."""
+    return (np.empty(slots), np.empty((lanes, slots), dtype=bool),
+            np.zeros((lanes, rows + 2, -(-slots // 64) * 8), dtype=np.uint8))
 
 
 @dataclass(frozen=True)
@@ -208,10 +224,14 @@ def _plan(scenario: Scenario) -> _Plan:
     group = scenario.model_aware_nodes   # its members share one delay
     members = tuple(n.id for n in group)
     k = len(members)
-    transmit, sent, oracle = False, 0, None
-    single, cross = _tdma_classes(tdma, start, start + horizon, period)
+    transmit = bool(members) and (build_model_aware_policy(scenario).default_action
+                                  is Action.TRANSMIT)
+    profile = _BlockProfile.build(tdma, transmit, k, start, min(block, horizon))
+    # a window of one block is that profile's
+    single, cross = ((profile.single, profile.cross) if horizon <= block
+                     else _tdma_classes(tdma, start, start + horizon, period))
+    sent, oracle = 0, None
     if members:
-        transmit = build_model_aware_policy(scenario).default_action is Action.TRANSMIT
         # the gateway's decisions before the window, its free AP slots, set its first turn
         if k > 1 and transmit:
             delay = group[0].delay.slots
@@ -220,57 +240,78 @@ def _plan(scenario: Scenario) -> _Plan:
     return _Plan(len(scenario.nodes),
                  tuple((n.id, n.delay.slots, n.role.q) for n in scenario.aloha_nodes),
                  tdma, start, horizon, period, block, transmit, members, sent,
-                 _BlockProfile.build(tdma, transmit, k, start, min(block, horizon)),
-                 cross, oracle)
+                 profile, cross, oracle)
 
 
-def _count_range(plan: _Plan, begin: int, end: int, aloha: Sequence, buffers: tuple) -> tuple:
-    """Count AP slots begin .. end - 1, block by block.
+def _count_range(plans: Sequence[_Plan], begin: int, end: int, aloha: Sequence,
+                 buffers: tuple) -> list[tuple]:
+    """Count AP slots begin .. end - 1 of each lane, block by block.
 
-    `aloha` holds each ALOHA node's (generator at slot `begin`, q). `buffers`
-    come from `_range_buffers`, made by the caller and written in place: the
-    ALOHA nodes' sends, then a profile's rows. Returns (collisions, successes
-    per row, decisions): the rows are the ALOHA nodes, the TDMA nodes, then
-    turn j of the range's decisions.
+    Lane i is `plans[i]` at a seed; the lanes share start, horizon, block and
+    node layout, and lanes lo .. hi - 1 of each (lo, hi, generators) in
+    `aloha` share a seed, whose generators, one per ALOHA node and at slot
+    `begin`, draw once for all of them. `buffers` come from `_range_buffers`,
+    made by the caller and written in place: the ALOHA nodes' sends, then a
+    profile's rows. Returns each lane's (collisions, successes per row,
+    decisions): the rows are the ALOHA nodes, the TDMA nodes, then turn j of
+    the range's decisions.
     """
-    start, block, period, tdma, transmit = (plan.start, plan.block, plan.period,
-                                            plan.tdma, plan.transmit)
-    k, profile = len(plan.members), plan.profile
+    plan = plans[0]
+    start, block, period = plan.start, plan.block, plan.period
+    k, profiles = len(plan.members), [lane.profile for lane in plans]
+    # every lane's profile rows, stacked once per profile and copied in at each block
+    fixed_rows = np.stack([profile.packed for profile in profiles])
+    # each lane's q of each ALOHA node
+    probs = np.array([[q for _, _, q in lane.aloha] for lane in plans])
     draws, send_flags, packed = buffers
-    words, first_fixed = packed.view(np.uint64), len(aloha)
-    fixed = first_fixed + len(tdma)   # the row of turn 0
-    totals = [0] * (fixed + k)
-    collisions = decided = 0
-    phase = 0
+    words, first_fixed = packed.view(np.uint64), len(plan.aloha)
+    # the rows of sends, the plane of exactly one sender, and the rows counted
+    sent_words, single, counted = words[:, :-2], words[:, -1:], words[:, :-1]
+    fixed = first_fixed + len(plan.tdma)   # the row of turn 0
+    totals = [[0] * (fixed + k) for _ in plans]
+    collisions, decided = [0] * len(plans), [0] * len(plans)
+    phase = width = 0
     for first in range(begin, end, block):
         n = min(block, end - first)
         # one profile per phase of the frames, and one for the short last block
-        if (first - start) % period != phase or n != profile.count:
+        if (first - start) % period != phase or n != profiles[0].count:
             phase = (first - start) % period
-            profile = _BlockProfile.build(tdma, transmit, k, first, n)
-        flags, size = send_flags[:n], -(-n // 8)
-        if n < block and first > begin:
-            packed[:, size:] = 0   # the bits that the longer blocks before left there
-        packed[first_fixed:, :size] = profile.packed[:, :size]
-        twos, ones = packed[-2, :size], packed[-1, :size]
-        for row, (rng, q) in enumerate(aloha):
-            np.less(rng.random(out=draws[:n]), q, out=flags)
-            sends = np.packbits(flags)
-            packed[row, :size] = sends
+            profiles = [_BlockProfile.build(lane.tdma, lane.transmit, k, first, n)
+                        for lane in plans]
+            fixed_rows = np.stack([profile.packed for profile in profiles])
+        if n != width:   # the buffers' views for blocks of n slots
+            width, size = n, -(-n // 8)
+            if first > begin:
+                packed[:, :, size:] = 0   # the bits that the longer blocks before left there
+            draw, flags = draws[:n], send_flags[:, :n]
+            aloha_views = packed[:, :first_fixed, :size]
+            fixed_view = packed[:, first_fixed:, :size]
+            twos, ones = packed[:, -2, :size], packed[:, -1, :size]
+            # each seed's lanes' flags, and their q of each ALOHA node
+            groups = [(flags[lo:hi], [probs[lo:hi, row, None] for row in range(first_fixed)],
+                       generators) for lo, hi, generators in aloha]
+        fixed_view[...] = fixed_rows[:, :, :size]
+        for row in range(first_fixed):
+            for lane_flags, q, generators in groups:
+                np.less(generators[row].random(out=draw), q[row], out=lane_flags)
+            sends = np.packbits(flags, axis=1)
+            aloha_views[:, row] = sends
             # the sender count's planes saturate at two
             twos |= ones & sends
             ones |= sends
         ones ^= twos   # the slots of exactly one sender
         # a sender's successes are its sends in those slots
-        np.bitwise_and(words[:-2], words[-1], out=words[:-2])
-        won = np.add.reduce(np.bitwise_count(words[:-1]), axis=1).tolist()
-        collisions += won[-1]
-        for row in range(fixed):
-            totals[row] += won[row]
-        for turn in range(k):
-            totals[fixed + (decided + turn) % k] += won[fixed + turn]
-        decided += profile.decided
-    return collisions, totals, decided
+        np.bitwise_and(sent_words, single, out=sent_words)
+        won = np.add.reduce(np.bitwise_count(counted), axis=2, dtype=np.uint32).tolist()
+        for lane, profile in enumerate(profiles):
+            counts, lane_totals = won[lane], totals[lane]
+            collisions[lane] += counts[-1]
+            for row in range(fixed):
+                lane_totals[row] += counts[row]
+            for turn in range(k):
+                lane_totals[fixed + (decided[lane] + turn) % k] += counts[fixed + turn]
+            decided[lane] += profile.decided
+    return list(zip(collisions, totals, decided))
 
 
 def run(scenario: Scenario) -> SimReport:
@@ -280,19 +321,28 @@ def run(scenario: Scenario) -> SimReport:
     node, the closed-form optimum over the measured window's TDMA arrival
     profile is attached along with the deviation.
     """
-    return _simulate(_plan(scenario), scenario.seed)
+    return _simulate([(_plan(scenario), scenario.seed)])[0]
 
 
-def _simulate(plan: _Plan, seed: int,
+def _simulate(lanes: Sequence[tuple[_Plan, int]],
               seeded: Callable[[int, NodeId, int], np.random.Generator] | None = None
-              ) -> SimReport:
-    """Count `plan`'s ranges at `seed`, a valid seed, and attach the plan's oracle.
+              ) -> list[SimReport]:
+    """Count each lane, a (plan, valid seed) pair, and attach its plan's oracle.
 
-    `seeded(seed, node_id, r)`, when given, stands in for `node_rng(seed,
-    node_id)`: it returns the generator that range r draws ALOHA node
-    `node_id`'s sends from, in the state `node_rng` leaves, and no other range
-    of the run draws from it.
+    The lanes share start, horizon, block and node layout, and each range
+    holds buffers for all of them: lanes x min(block, horizon) slots, which
+    `sweep` keeps within one block. `seeded(seed, node_id, slot)`, when given,
+    stands in for `node_rng(seed, node_id)`: it returns the generator that
+    slot `slot`, one (range, seed) pair of the lanes, draws ALOHA node
+    `node_id`'s sends from, in the state `node_rng` leaves, and no other slot
+    of the call draws from it.
     """
+    # the lanes of a seed stand together, so its generators draw once for all of them
+    order = sorted(range(len(lanes)), key=lambda i: lanes[i][1])
+    plans = [lanes[i][0] for i in order]
+    seeds = [(seed, len(list(same))) for seed, same
+             in itertools.groupby(lanes[i][1] for i in order)]
+    plan = plans[0]
     start, horizon, members = plan.start, plan.horizon, plan.members
     cap = min(plan.block, horizon)
     rows = len(plan.aloha) + len(plan.tdma) + len(members)
@@ -303,13 +353,18 @@ def _simulate(plan: _Plan, seed: int,
     bounds = [start + blocks * r // ranges * plan.block for r in range(ranges)] + [start + horizon]
     work = []
     for r, (begin, end) in enumerate(zip(bounds, bounds[1:])):
-        aloha = []   # (generator at AP slot `begin`, q) of each ALOHA node
-        for node_id, delay, q in plan.aloha:
-            rng = node_rng(seed, node_id) if seeded is None else seeded(seed, node_id, r)
-            # arrival at AP slot a came from send slot a - d; start >= max delay
-            rng.bit_generator.advance(begin - delay)
-            aloha.append((rng, q))
-        work.append((plan, begin, end, aloha, _range_buffers(cap, rows)))
+        aloha, lo = [], 0   # (lo, hi, generators at AP slot `begin`) of each seed
+        for g, (seed, count) in enumerate(seeds):
+            generators = []
+            for node_id, delay, _ in plan.aloha:
+                rng = (node_rng(seed, node_id) if seeded is None
+                       else seeded(seed, node_id, r * len(seeds) + g))
+                # arrival at AP slot a came from send slot a - d; start >= max delay
+                rng.bit_generator.advance(begin - delay)
+                generators.append(rng)
+            aloha.append((lo, lo + count, generators))
+            lo += count
+        work.append((plans, begin, end, aloha, _range_buffers(len(plans), cap, rows)))
     if ranges == 1:
         counted = [_count_range(*work[0])]
     else:
@@ -320,31 +375,33 @@ def _simulate(plan: _Plan, seed: int,
             counted = [_count_range(*work[0])]
         counted += [job.result() for job in jobs]
 
-    collisions = 0
-    per_node = dict.fromkeys(range(plan.nodes), 0)
     ids = [node_id for node_id, _, _ in plan.aloha] + [node.id for node in plan.tdma]
-    k, sent = len(members), plan.sent
-    for lost, totals, decided in counted:
-        collisions += lost
-        for node_id, count in zip(ids, totals):
-            per_node[node_id] += count
-        # transmit decision i from send slot 0 on goes to members[i mod k],
-        # and `sent` of them came before this range
-        for turn, count in enumerate(totals[rows - k:]):
-            per_node[members[(sent + turn) % k]] += count
-        sent += decided
-    successes = sum(per_node.values())   # every success slot has exactly one sender
-    empirical = successes / horizon
-
-    oracle = plan.oracle
-    deviation = None if oracle is None else abs(empirical - oracle.optimal_throughput)
-    return SimReport(measured_slots=horizon, successes=successes,
-                     collisions=collisions, idle=horizon - successes - collisions,
-                     per_node_successes=per_node,
-                     empirical_throughput=empirical,
-                     warmup_slots=start,
-                     tdma_cross_collisions=plan.cross,
-                     oracle=oracle, deviation=deviation)
+    k = len(members)
+    reports = [None] * len(lanes)
+    for lane, (i, plan) in enumerate(zip(order, plans)):
+        collisions, sent = 0, plan.sent
+        per_node = dict.fromkeys(range(plan.nodes), 0)
+        for lost, totals, decided in (counts[lane] for counts in counted):
+            collisions += lost
+            for node_id, count in zip(ids, totals):
+                per_node[node_id] += count
+            # transmit decision i from send slot 0 on goes to members[i mod k],
+            # and `sent` of them came before this range
+            for turn, count in enumerate(totals[rows - k:]):
+                per_node[members[(sent + turn) % k]] += count
+            sent += decided
+        successes = sum(per_node.values())   # every success slot has exactly one sender
+        empirical = successes / horizon
+        oracle = plan.oracle
+        deviation = None if oracle is None else abs(empirical - oracle.optimal_throughput)
+        reports[i] = SimReport(measured_slots=horizon, successes=successes,
+                               collisions=collisions, idle=horizon - successes - collisions,
+                               per_node_successes=per_node,
+                               empirical_throughput=empirical,
+                               warmup_slots=start,
+                               tdma_cross_collisions=plan.cross,
+                               oracle=oracle, deviation=deviation)
+    return reports
 
 
 @dataclass(frozen=True)
@@ -428,9 +485,11 @@ def sweep(base: Scenario, grid: Sequence[tuple[str, Sequence]]) -> list[SweepPoi
     deterministically from (base seed, point index).
 
     A point whose parameters other than `seed` equal those that built the last
-    valid plan (`_plan`) reuses it: only its seed is checked and drawn. Each
-    seed that the grid lists is seeded once per sweep and ALOHA node, wherever
-    `seed` stands in the grid; a derived seed is seeded at its point.
+    valid plan (`_plan`) reuses it: only its seed is checked. Consecutive valid
+    points of one warm-up and horizon are counted together, as the lanes of one
+    `_simulate` call, up to as many as fill one block. Each seed that the grid
+    lists is seeded once per sweep and ALOHA node, wherever `seed` stands in
+    the grid; a derived seed is seeded at its point.
     Grid-point failures are recorded on the point and the sweep continues.
     An unknown or repeated name, or a value of the wrong kind (`q` and `p` take
     real numbers, the others whole ones), raises ValidationError before any point runs.
@@ -456,22 +515,30 @@ def sweep(base: Scenario, grid: Sequence[tuple[str, Sequence]]) -> list[SweepPoi
     fixed = [i for i, name in enumerate(names) if name != "seed"]
     plan = key = None   # the last valid plan and the values but the seed it was built for
     states = {}         # (listed seed, ALOHA node id): its generator's state after seeding
-    reused = {}         # (ALOHA node id, range): the generator that range draws from
+    reused = {}         # (ALOHA node id, slot): the generator that slot draws from
 
-    def seeded(seed: int, node_id: NodeId, r: int) -> np.random.Generator:
+    def seeded(seed: int, node_id: NodeId, slot: int) -> np.random.Generator:
         """`node_rng(seed, node_id)`'s generator, seeded once per sweep and
-        then only restored, on range r's own generator object."""
+        then only restored, on the slot's own generator object."""
         if (seed, node_id) not in states:
             states[seed, node_id] = node_rng(seed, node_id).bit_generator.state
-        if (node_id, r) not in reused:
-            reused[node_id, r] = np.random.Generator(np.random.PCG64(0))
-        rng = reused[node_id, r]
+        if (node_id, slot) not in reused:
+            reused[node_id, slot] = np.random.Generator(np.random.PCG64(0))
+        rng = reused[node_id, slot]
         rng.bit_generator.state = states[seed, node_id]
         return rng
 
     # a derived seed serves one point only, so it is seeded as `run` seeds it
     source = seeded if "seed" in names else None
     points = []
+    batch = []   # (index, params, plan, seed) of the valid points not counted yet
+
+    def count_batch():
+        reports = _simulate([(plan, seed) for _, _, plan, seed in batch], source)
+        for (index, params, _, seed), report in zip(batch, reports):
+            points[index] = SweepPoint(index, params, seed, report, None)
+        batch.clear()
+
     for index, combo in enumerate(itertools.product(*(values for _, values in grid))):
         params = dict(zip(names, combo))
         seed = int(params["seed"]) if "seed" in params else _derive_seed(base.seed, index)
@@ -486,7 +553,17 @@ def sweep(base: Scenario, grid: Sequence[tuple[str, Sequence]]) -> list[SweepPoi
                 errors = seed_errors(seed)
                 if errors:
                     raise ValidationError(errors)
-            points.append(SweepPoint(index, params, seed, _simulate(plan, seed, source), None))
         except (ValidationError, ContractViolation) as exc:
             points.append(SweepPoint(index, params, seed, None, str(exc)))
+            continue
+        points.append(None)   # counted with its batch
+        # a batch's lanes share one window (and, as `p` keeps the frame, one
+        # block), and all of them take no more slots than one block
+        lead = batch[0][2] if batch else plan
+        if ((lead.start, lead.horizon) != (plan.start, plan.horizon)
+                or len(batch) >= BLOCK_SLOTS // min(plan.block, plan.horizon)):
+            count_batch()
+        batch.append((index, params, plan, seed))
+    if batch:
+        count_batch()
     return points

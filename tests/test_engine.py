@@ -321,6 +321,11 @@ def test_block_profile_is_built_once_per_phase(monkeypatch):
         report = run(Scenario(nodes, horizon=blocks * engine.BLOCK_SLOTS, seed=3))
         assert min(report.per_node_successes[m] for m in range(3)) > 0
         assert calls == {"tdma": 8}
+    # a window of one block reads its classes off the plan's one profile
+    calls.clear()
+    report = run(Scenario(nodes, horizon=500, seed=3))
+    assert min(report.per_node_successes[m] for m in range(3)) > 0
+    assert calls == {"tdma": 2}
 
 
 def test_helpers_make_no_generator_and_ask_no_policy(monkeypatch):
@@ -797,34 +802,63 @@ def sweep_grids(draw):
     return grid or [seeds]
 
 
+def _point_scenario(base, point):
+    scenario = base
+    for name, value in point.params.items():
+        scenario = engine._apply_parameter(scenario, name, value)
+    return dataclasses.replace(scenario, seed=point.seed)
+
+
+def _window(plan):
+    return plan.start, plan.horizon, plan.block
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("base", sorted(SWEEP_BASES))
 @settings(max_examples=30, derandomize=True, database=None, deadline=None)
 @given(grid=sweep_grids())
 def test_sweep_equals_a_run_of_each_point(base, workers, grid):
-    # small blocks make the reused plans count several ranges
+    # blocks of 7 make the reused plans count several ranges, and both sizes
+    # batch several lanes of a short window: up to 7 at H = 1 in blocks of 7,
+    # and up to 2, 7 and 64 at H = 30, 9 and 1 in blocks of 64
     base = SWEEP_BASES[base]
     names = [name for name, _ in grid]
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(engine, "BLOCK_SLOTS", 7)
-        patch.setattr(engine, "WORKERS", workers)
-        points = sweep(base, grid)
-        combos = list(itertools.product(*(values for _, values in grid)))
-        assert [p.index for p in points] == list(range(len(combos)))
-        for point, combo in zip(points, combos):
-            assert point.params == dict(zip(names, combo))
-            seed = (int(point.params["seed"]) if "seed" in point.params
-                    else engine._derive_seed(base.seed, point.index))
-            assert point.seed == seed
-            report = error = None
-            try:
-                scenario = base
-                for name, value in point.params.items():
-                    scenario = engine._apply_parameter(scenario, name, value)
-                report = run(dataclasses.replace(scenario, seed=seed))
-            except (ValidationError, ContractViolation) as exc:
-                error = str(exc)
-            assert (point.report, point.error) == (report, error)
+    combos = list(itertools.product(*(values for _, values in grid)))
+    simulate = engine._simulate
+    for block in (7, 64):
+        batches = []
+
+        def recorded(lanes, seeded=None):
+            batches.append([plan for plan, _ in lanes])
+            return simulate(lanes, seeded)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engine, "BLOCK_SLOTS", block)
+            patch.setattr(engine, "WORKERS", workers)
+            patch.setattr(engine, "_simulate", recorded)
+            points = sweep(base, grid)
+            # each batch shares a window and takes at most a block's slots,
+            # and a batch is cut short only where the next point's window differs
+            assert sum(map(len, batches)) == sum(point.report is not None for point in points)
+            for lanes, after in zip(batches, batches[1:] + [None]):
+                start, horizon, block_slots = _window(lanes[0])
+                assert {_window(plan) for plan in lanes} == {(start, horizon, block_slots)}
+                cap = block // min(block_slots, horizon)
+                assert len(lanes) <= cap
+                assert (after is None or len(lanes) == cap
+                        or _window(after[0]) != _window(lanes[0]))
+            assert [p.index for p in points] == list(range(len(combos)))
+            for point, combo in zip(points, combos):
+                assert point.params == dict(zip(names, combo))
+                seed = (int(point.params["seed"]) if "seed" in point.params
+                        else engine._derive_seed(base.seed, point.index))
+                assert point.seed == seed
+                report = error = None
+                try:
+                    report = run(_point_scenario(base, point))
+                except (ValidationError, ContractViolation) as exc:
+                    error = str(exc)
+                assert (point.report, point.error) == (report, error)
 
 
 def test_a_sweep_builds_one_plan_per_run_of_seeds(monkeypatch):
@@ -888,6 +922,89 @@ def test_a_sweep_works_the_oracle_out_once_per_plan(monkeypatch):
             calls.clear()
             assert point.report == run(dataclasses.replace(scenario, seed=point.seed))
             assert calls == {"plan": 1, "oracle": 1}
+
+
+def test_a_sweep_counts_its_short_points_in_batches(monkeypatch):
+    # the sweep_short shape: 8 q x 6 p x 4 seeds at H = 500 fill 131 + 61 lanes
+    calls = []
+    count_range = engine._count_range
+
+    def counted(plans, *args):
+        calls.append(len(plans) * min(plans[0].block, plans[0].horizon))
+        return count_range(plans, *args)
+
+    monkeypatch.setattr(engine, "_count_range", counted)
+    base = Scenario((_ma(0, 1), _tdma(1, 3, 10, {0}), _aloha(2, 5, 0.1), _aloha(3, 0, 0.1)),
+                    horizon=500, seed=5)
+    grid = [("q", [0.05, 0.1, 0.2, 0.3, 0.6, 0.7, 0.8, 0.9]),
+            ("p", [0.0, 0.1, 0.2, 0.3, 0.4, 0.5]), ("seed", [11, 12, 13, 14])]
+    points = sweep(base, grid)
+    assert calls == [131 * 500, 61 * 500]
+    assert all(slots <= engine.BLOCK_SLOTS for slots in calls)
+    assert {point.report.oracle.chosen_branch for point in points} == set(Branch)
+    for point in points:
+        assert point.report == run(_point_scenario(base, point))
+    # an invalid seed, and a p that is no whole number of slots, between the
+    # lanes keep their places and their own errors
+    calls.clear()
+    points = sweep(base, [("p", [0.1, 0.15, 0.2]), ("seed", [1, -1, 2])])
+    assert calls == [4 * 500]
+    assert [point.report is None for point in points] == [False, True, False, True, True,
+                                                          True, False, True, False]
+    for point in points:
+        try:
+            expected = (run(_point_scenario(base, point)), None)
+        except ValidationError as exc:
+            expected = (None, str(exc))
+        assert (point.report, point.error) == expected
+    assert "seed" in points[1].error and "whole number of slots" in points[3].error
+
+
+def test_a_gateway_in_a_batch_splits_its_successes_as_a_run_does(monkeypatch):
+    # q crosses z = 0 and p moves the free AP slots of the warm-up, so each
+    # warm-up's batch holds lanes of both branches whose gateways start the
+    # window at each of the three members
+    batches = []
+    simulate = engine._simulate
+
+    def recorded(lanes, seeded=None):
+        batches.append([plan for plan, _ in lanes])
+        return simulate(lanes, seeded)
+
+    monkeypatch.setattr(engine, "_simulate", recorded)
+    base = Scenario((_ma(0, 2), _ma(1, 2), _ma(2, 2), _tdma(3, 1, 5, {0}), _aloha(4, 3, 0.05),
+                     _aloha(5, 0, 0.1)), horizon=30, seed=8)
+    points = sweep(base, [("warmup", [4, 10]), ("p", [0.2, 0.4, 0.6]),
+                          ("q", [0.05, 0.3, 0.7, 0.9]), ("seed", [3, 7])])
+    assert [len(lanes) for lanes in batches] == [24, 24]
+    for lanes in batches:
+        assert {plan.transmit for plan in lanes} == {False, True}
+        assert {plan.sent % 3 for plan in lanes if plan.transmit} == {0, 1, 2}
+    for point in points:
+        report = run(_point_scenario(base, point))
+        assert point.report == report
+        if report.oracle.chosen_branch is Branch.TRANSMIT:
+            assert min(report.per_node_successes[m] for m in range(3)) > 0
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_lanes_of_several_blocks_count_as_their_runs(monkeypatch, workers):
+    # sweep never batches a window of several blocks, but _simulate counts
+    # such lanes too: each lane keeps its own profiles, decisions and turns;
+    # a block of 20 AP slots holds 16, 12 and 8 decisions at p = 0.2, 0.4 and
+    # 0.6, so the lanes' turns drift apart from block to block
+    monkeypatch.setattr(engine, "BLOCK_SLOTS", 22)
+    monkeypatch.setattr(engine, "WORKERS", workers)
+    base = Scenario((_ma(0, 2), _ma(1, 2), _ma(2, 2), _tdma(3, 1, 5, {0}), _aloha(4, 3, 0.05),
+                     _aloha(5, 0, 0.1)), horizon=100, warmup=10, seed=8)
+    scenarios = [dataclasses.replace(engine._apply_parameter(
+                     engine._apply_parameter(base, "p", p), "q", q), seed=seed)
+                 for p, q, seed in [(0.2, 0.05, 4), (0.4, 0.9, 3), (0.4, 0.3, 4), (0.6, 0.05, 3)]]
+    plans = [engine._plan(scenario) for scenario in scenarios]
+    assert [plan.transmit for plan in plans] == [True, False, True, True]
+    assert len({plan.sent % 3 for plan in plans if plan.transmit}) == 3
+    reports = engine._simulate([(plan, scenario.seed) for plan, scenario in zip(plans, scenarios)])
+    assert reports == [run(scenario) for scenario in scenarios]
 
 
 def test_monte_carlo_consistency_four_sigma():
