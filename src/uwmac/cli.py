@@ -292,13 +292,14 @@ def _parse_grid(specs: list[str]) -> tuple[list[tuple[str, list]], list[str]]:
             errors.append(f"--sweep {spec!r}: expected name=v1,v2,...")
             continue
         values = []
+        whole = name in ("horizon", "warmup", "seed")
         for token in rest.split(","):
             token = token.strip()
             try:
-                values.append(int(token) if name in ("horizon", "warmup", "seed")
-                              else float(token))
+                values.append(int(token) if whole else float(token))
             except ValueError:
-                errors.append(f"--sweep {spec!r}: {token!r} is not a number")
+                errors.append(f"--sweep {spec!r}: {token!r} is not a "
+                              f"{'whole number' if whole else 'number'}")
         grid.append((name, values))
     return grid, errors
 

@@ -1,4 +1,4 @@
-"""Deterministic seeded slot simulation with oracle comparison and sweeps.
+"""Deterministic slot simulation from a seed, with oracle comparison and sweeps.
 
 One run is a pure function of (scenario, seed): every node gets an
 independent RNG substream keyed by (seed, node id), so adding a node never
@@ -53,15 +53,12 @@ oracle.
 `sweep` keeps its last valid plan: a point whose parameters other than `seed`
 equal those that built it checks only its seed (`seed_errors`, the rule
 `validate_scenario` applies) and reuses that plan. So a grid that lists
-`seed` last builds one plan per run of seeds. Consecutive valid points that
-share warm-up and horizon are counted together, in batches of at most
-BLOCK_SLOTS // min(block, horizon) lanes. So a batch's buffers are never
-larger than one run's, and a batch of several lanes has a window of one block:
-one range and no profile to rebuild. Whatever the position of `seed` in the
-grid, `sweep` seeds each listed seed's ALOHA generators through `node_rng`
-once per sweep, keeps their state after seeding, and at every later batch
-restores it on one reused generator per ALOHA node and (range, seed) slot,
-which then draws exactly what a fresh one would.
+`seed` last builds one plan per run of seeds. The valid points of one warm-up
+and horizon are counted together, wherever they stand in the grid, in batches
+of at most BLOCK_SLOTS // min(block, horizon) lanes. So a batch's buffers are
+never larger than one run's, and a batch of several lanes has a window of one
+block: one range and no profile to rebuild. Each batch seeds its distinct
+seeds' ALOHA generators through `node_rng`, as `run` does.
 """
 from __future__ import annotations
 
@@ -70,7 +67,7 @@ import math
 import numbers
 import os
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -324,18 +321,13 @@ def run(scenario: Scenario) -> SimReport:
     return _simulate([(_plan(scenario), scenario.seed)])[0]
 
 
-def _simulate(lanes: Sequence[tuple[_Plan, int]],
-              seeded: Callable[[int, NodeId, int], np.random.Generator] | None = None
-              ) -> list[SimReport]:
+def _simulate(lanes: Sequence[tuple[_Plan, int]]) -> list[SimReport]:
     """Count each lane, a (plan, valid seed) pair, and attach its plan's oracle.
 
     The lanes share start, horizon, block and node layout, and each range
     holds buffers for all of them: lanes x min(block, horizon) slots, which
-    `sweep` keeps within one block. `seeded(seed, node_id, slot)`, when given,
-    stands in for `node_rng(seed, node_id)`: it returns the generator that
-    slot `slot`, one (range, seed) pair of the lanes, draws ALOHA node
-    `node_id`'s sends from, in the state `node_rng` leaves, and no other slot
-    of the call draws from it.
+    `sweep` keeps within one block. Each range seeds each distinct seed's
+    ALOHA generators through `node_rng`, once for all the lanes of that seed.
     """
     # the lanes of a seed stand together, so its generators draw once for all of them
     order = sorted(range(len(lanes)), key=lambda i: lanes[i][1])
@@ -352,13 +344,12 @@ def _simulate(lanes: Sequence[tuple[_Plan, int]],
     ranges = min(WORKERS, blocks)
     bounds = [start + blocks * r // ranges * plan.block for r in range(ranges)] + [start + horizon]
     work = []
-    for r, (begin, end) in enumerate(zip(bounds, bounds[1:])):
+    for begin, end in zip(bounds, bounds[1:]):
         aloha, lo = [], 0   # (lo, hi, generators at AP slot `begin`) of each seed
-        for g, (seed, count) in enumerate(seeds):
+        for seed, count in seeds:
             generators = []
             for node_id, delay, _ in plan.aloha:
-                rng = (node_rng(seed, node_id) if seeded is None
-                       else seeded(seed, node_id, r * len(seeds) + g))
+                rng = node_rng(seed, node_id)
                 # arrival at AP slot a came from send slot a - d; start >= max delay
                 rng.bit_generator.advance(begin - delay)
                 generators.append(rng)
@@ -481,15 +472,15 @@ def _apply_parameter(scenario: Scenario, name: str, value) -> Scenario:
 
 
 def sweep(base: Scenario, grid: Sequence[tuple[str, Sequence]]) -> list[SweepPoint]:
-    """Run the cross product of the grid; points are independent and seeded
-    deterministically from (base seed, point index).
+    """Run the cross product of the grid; points are independent, and a point
+    whose grid lists no `seed` takes one derived from (base seed, point index).
 
     A point whose parameters other than `seed` equal those that built the last
-    valid plan (`_plan`) reuses it: only its seed is checked. Consecutive valid
-    points of one warm-up and horizon are counted together, as the lanes of one
-    `_simulate` call, up to as many as fill one block. Each seed that the grid
-    lists is seeded once per sweep and ALOHA node, wherever `seed` stands in
-    the grid; a derived seed is seeded at its point.
+    valid plan (`_plan`) reuses it: only its seed is checked. The valid points
+    of one warm-up and horizon are counted together, wherever they stand in
+    the grid, as the lanes of one `_simulate` call, up to as many as fill one
+    block; the points stay in grid order. So the lanes that wait for a
+    window's batch hold less than one block of packed profile rows.
     Grid-point failures are recorded on the point and the sweep continues.
     An unknown or repeated name, or a value of the wrong kind (`q` and `p` take
     real numbers, the others whole ones), raises ValidationError before any point runs.
@@ -514,27 +505,11 @@ def sweep(base: Scenario, grid: Sequence[tuple[str, Sequence]]) -> list[SweepPoi
         raise ValidationError(mistyped)
     fixed = [i for i, name in enumerate(names) if name != "seed"]
     plan = key = None   # the last valid plan and the values but the seed it was built for
-    states = {}         # (listed seed, ALOHA node id): its generator's state after seeding
-    reused = {}         # (ALOHA node id, slot): the generator that slot draws from
-
-    def seeded(seed: int, node_id: NodeId, slot: int) -> np.random.Generator:
-        """`node_rng(seed, node_id)`'s generator, seeded once per sweep and
-        then only restored, on the slot's own generator object."""
-        if (seed, node_id) not in states:
-            states[seed, node_id] = node_rng(seed, node_id).bit_generator.state
-        if (node_id, slot) not in reused:
-            reused[node_id, slot] = np.random.Generator(np.random.PCG64(0))
-        rng = reused[node_id, slot]
-        rng.bit_generator.state = states[seed, node_id]
-        return rng
-
-    # a derived seed serves one point only, so it is seeded as `run` seeds it
-    source = seeded if "seed" in names else None
     points = []
-    batch = []   # (index, params, plan, seed) of the valid points not counted yet
+    pending = {}   # (start, horizon): (index, params, plan, seed) of its points not counted yet
 
-    def count_batch():
-        reports = _simulate([(plan, seed) for _, _, plan, seed in batch], source)
+    def count(batch):
+        reports = _simulate([(plan, seed) for _, _, plan, seed in batch])
         for (index, params, _, seed), report in zip(batch, reports):
             points[index] = SweepPoint(index, params, seed, report, None)
         batch.clear()
@@ -556,14 +531,14 @@ def sweep(base: Scenario, grid: Sequence[tuple[str, Sequence]]) -> list[SweepPoi
         except (ValidationError, ContractViolation) as exc:
             points.append(SweepPoint(index, params, seed, None, str(exc)))
             continue
-        points.append(None)   # counted with its batch
+        points.append(None)   # counted with its window's batch
         # a batch's lanes share one window (and, as `p` keeps the frame, one
         # block), and all of them take no more slots than one block
-        lead = batch[0][2] if batch else plan
-        if ((lead.start, lead.horizon) != (plan.start, plan.horizon)
-                or len(batch) >= BLOCK_SLOTS // min(plan.block, plan.horizon)):
-            count_batch()
+        batch = pending.setdefault((plan.start, plan.horizon), [])
         batch.append((index, params, plan, seed))
-    if batch:
-        count_batch()
+        if len(batch) >= BLOCK_SLOTS // min(plan.block, plan.horizon):
+            count(batch)
+    for batch in pending.values():
+        if batch:
+            count(batch)
     return points

@@ -370,6 +370,8 @@ def test_sweep_bad_grid_spec_exits_2(tmp_path, capsys):
     path = _write(tmp_path, "single_aloha.json", SINGLE_ALOHA)
     assert main(["sweep", "--scenario", path, "--sweep", "q=0.1,abc"]) == 2
     assert "is not a number" in capsys.readouterr().err
+    assert main(["sweep", "--scenario", path, "--sweep", "horizon=2.5"]) == 2
+    assert "'2.5' is not a whole number" in capsys.readouterr().err
     assert main(["sweep", "--scenario", path, "--sweep", "bogus=1"]) == 2
 
 

@@ -828,9 +828,9 @@ def test_sweep_equals_a_run_of_each_point(base, workers, grid):
     for block in (7, 64):
         batches = []
 
-        def recorded(lanes, seeded=None):
+        def recorded(lanes):
             batches.append([plan for plan, _ in lanes])
-            return simulate(lanes, seeded)
+            return simulate(lanes)
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(engine, "BLOCK_SLOTS", block)
@@ -960,6 +960,32 @@ def test_a_sweep_counts_its_short_points_in_batches(monkeypatch):
     assert "seed" in points[1].error and "whole number of slots" in points[3].error
 
 
+def test_a_sweep_batches_each_window_across_the_grid(monkeypatch):
+    # with horizon innermost no two consecutive points share a window, yet
+    # each window's 192 points fill 130 + 62 lanes at H = 501 and 131 + 61 at
+    # H = 500, each batch seeding its 4 seeds once per ALOHA node
+    calls, seeded = [], collections.Counter()
+    count_range = engine._count_range
+
+    def counted(plans, *args):
+        calls.append((len(plans), plans[0].horizon))
+        return count_range(plans, *args)
+
+    monkeypatch.setattr(engine, "_count_range", counted)
+    monkeypatch.setattr(engine, "node_rng", _counted(seeded, "node_rng", engine.node_rng))
+    base = Scenario((_ma(0, 1), _tdma(1, 3, 10, {0}), _aloha(2, 5, 0.1), _aloha(3, 0, 0.1)),
+                    horizon=500, seed=5)
+    grid = [("q", [0.05, 0.1, 0.2, 0.3, 0.6, 0.7, 0.8, 0.9]),
+            ("p", [0.0, 0.1, 0.2, 0.3, 0.4, 0.5]), ("seed", [11, 12, 13, 14]),
+            ("horizon", [500, 501])]
+    points = sweep(base, grid)
+    assert calls == [(130, 501), (131, 500), (61, 500), (62, 501)]
+    assert seeded == {"node_rng": 4 * 4 * 2}
+    assert [point.params["horizon"] for point in points] == [500, 501] * 192
+    for point in points:
+        assert point.report == run(_point_scenario(base, point))
+
+
 def test_a_gateway_in_a_batch_splits_its_successes_as_a_run_does(monkeypatch):
     # q crosses z = 0 and p moves the free AP slots of the warm-up, so each
     # warm-up's batch holds lanes of both branches whose gateways start the
@@ -967,9 +993,9 @@ def test_a_gateway_in_a_batch_splits_its_successes_as_a_run_does(monkeypatch):
     batches = []
     simulate = engine._simulate
 
-    def recorded(lanes, seeded=None):
+    def recorded(lanes):
         batches.append([plan for plan, _ in lanes])
-        return simulate(lanes, seeded)
+        return simulate(lanes)
 
     monkeypatch.setattr(engine, "_simulate", recorded)
     base = Scenario((_ma(0, 2), _ma(1, 2), _ma(2, 2), _tdma(3, 1, 5, {0}), _aloha(4, 3, 0.05),
