@@ -15,22 +15,24 @@ transmit branch it transmits in exactly the AP slots that no TDMA packet
 reaches, read off the TDMA arrivals (`_BlockProfile`, the one builder of what
 the schedules fix). Both repeat every `period` AP slots, the lcm of the
 frames, so a block is cut at the largest multiple of the period that fits in
-BLOCK_SLOTS (at BLOCK_SLOTS when the period is longer) and they are built once
-per phase of the period, and for the short last block. Time is O(horizon),
-plus, for a gateway of several members in the transmit branch, O(min(warm-up,
-settle + 2 x period)) to count whose turn the window starts with.
+BLOCK_SLOTS (at BLOCK_SLOTS when the period is longer). So every block starts
+at phase 0 of the period and shares the first block's profile, save the short
+last block; a period longer than BLOCK_SLOTS builds one per block. Time is
+O(horizon), plus, for a gateway of several members in the transmit branch,
+O(min(warm-up, settle + 2 x period)) to count whose turn the window starts
+with.
 
 The window's blocks are cut into R = min(WORKERS, blocks) contiguous ranges,
 WORKERS being the CPUs the process may use: range r takes blocks
 blocks x r // R onward. The calling thread counts range 0, and R - 1 helper
 threads, started for the run and joined before it returns, count the others;
-the ranges' integer totals are merged in range order. A range reads only the
-plans and what the calling thread made for it: its buffers and its own fresh
-generators, advanced to its first slot. So every generator is drawn by exactly
-one thread, in slot order, and a run stays a pure function of (scenario,
-seed), whatever the CPU count. A run of one block, or on one CPU, starts no
-helper, and importing uwmac starts none. Memory is O(BLOCK_SLOTS x (1 +
-nodes / 8)) per range, whatever the horizon and warm-up.
+the ranges' integer totals are merged in range order. A range makes its own
+buffers and reads only the plans and its own fresh generators, which the
+calling thread made for it, advanced to its first slot. So every generator is
+drawn by exactly one thread, in slot order, and a run stays a pure function of
+(scenario, seed), whatever the CPU count. A run of one block, or on one CPU,
+starts no helper, and importing uwmac starts none. Memory is O(BLOCK_SLOTS x
+(1 + nodes / 8)) per range, whatever the horizon and warm-up.
 
 A run is `_plan` then `_simulate`. `_plan` does all that the scenario fixes
 whatever its seed: validation, the period and block, the policy's branch
@@ -41,10 +43,10 @@ counter of the classes (`_tdma_classes`) gives those of a longer window and
 the gateway's decisions before the window.
 
 `_simulate` counts lanes. A lane is a (plan, seed) pair, and the lanes of one
-call share start, horizon, block and node layout; `run` is a call of one
-lane. The lanes are sorted by seed and each distinct seed's ALOHA generators
-are made once. `_count_range` then counts every lane of a range in one pass
-per block: each seed's generator of a node draws once, one broadcast
+call share start, horizon, block and node layout; `run` is a call of one lane.
+The lanes stay in the order given, and each run of lanes of one seed gets one
+set of ALOHA generators. `_count_range` then counts every lane of a range in
+one pass per block: each seed's generator of a node draws once, one broadcast
 comparison at each lane's own q turns the draws into the sends of all that
 seed's lanes, and the packing, the planes, the counts and the reduction run
 once on arrays with a leading lane axis. Each report gets its own plan's
@@ -57,8 +59,9 @@ equal those that built it checks only its seed (`seed_errors`, the rule
 and horizon are counted together, wherever they stand in the grid, in batches
 of at most BLOCK_SLOTS // min(block, horizon) lanes. So a batch's buffers are
 never larger than one run's, and a batch of several lanes has a window of one
-block: one range and no profile to rebuild. Each batch seeds its distinct
-seeds' ALOHA generators through `node_rng`, as `run` does.
+block: one range and no profile to rebuild. Each batch is sorted by seed, so
+it seeds each of its distinct seeds' ALOHA generators once, through
+`node_rng`, as `run` does.
 """
 from __future__ import annotations
 
@@ -178,21 +181,11 @@ class _BlockProfile:
         return cls(count, packed, k)
 
 
-def _range_buffers(lanes: int, slots: int, rows: int) -> tuple:
-    """A range's buffers for blocks of up to `slots` AP slots: one node's draws,
-    and for each of `lanes` lanes the send flags and `rows` rows of packed
-    sends plus the two planes of a `_BlockProfile`, in bytes that a whole
-    number of 64-bit words holds."""
-    return (np.empty(slots), np.empty((lanes, slots), dtype=bool),
-            np.zeros((lanes, rows + 2, -(-slots // 64) * 8), dtype=np.uint8))
-
-
 @dataclass(frozen=True)
 class _Plan:
     """What a valid scenario fixes whatever its seed, oracle included: all of a run
     but the draws and what they decide. Ranges read it and never write it."""
 
-    nodes: int                      # the ids are 0 .. nodes - 1
     aloha: tuple                    # (id, delay slots, q) of each ALOHA node, by id
     tdma: tuple[NodeSpec, ...]
     start: int                      # the first measured AP slot
@@ -234,24 +227,22 @@ def _plan(scenario: Scenario) -> _Plan:
             delay = group[0].delay.slots
             sent = start - delay - sum(_tdma_classes(tdma, delay, start, period))
         oracle = optimal_mixed(single / horizon, scenario.aloha_probs, cross / horizon)
-    return _Plan(len(scenario.nodes),
-                 tuple((n.id, n.delay.slots, n.role.q) for n in scenario.aloha_nodes),
-                 tdma, start, horizon, period, block, transmit, members, sent,
-                 profile, cross, oracle)
+    return _Plan(tuple((n.id, n.delay.slots, n.role.q) for n in scenario.aloha_nodes), tdma,
+                 start, horizon, period, block, transmit, members, sent, profile, cross, oracle)
 
 
-def _count_range(plans: Sequence[_Plan], begin: int, end: int, aloha: Sequence,
-                 buffers: tuple) -> list[tuple]:
+def _count_range(plans: Sequence[_Plan], begin: int, end: int, aloha: Sequence) -> list[tuple]:
     """Count AP slots begin .. end - 1 of each lane, block by block.
 
     Lane i is `plans[i]` at a seed; the lanes share start, horizon, block and
     node layout, and lanes lo .. hi - 1 of each (lo, hi, generators) in
     `aloha` share a seed, whose generators, one per ALOHA node and at slot
-    `begin`, draw once for all of them. `buffers` come from `_range_buffers`,
-    made by the caller and written in place: the ALOHA nodes' sends, then a
-    profile's rows. Returns each lane's (collisions, successes per row,
-    decisions): the rows are the ALOHA nodes, the TDMA nodes, then turn j of
-    the range's decisions.
+    `begin`, draw once for all of them. The range makes its own buffers, for
+    blocks of up to min(block, horizon) AP slots: one node's draws, each
+    lane's send flags, and each lane's packed rows of sends, a profile's
+    rows after the ALOHA nodes'. Returns each lane's (collisions, successes
+    per row, decisions): the rows are the ALOHA nodes, the TDMA nodes, then
+    turn j of the range's decisions.
     """
     plan = plans[0]
     start, block, period = plan.start, plan.block, plan.period
@@ -260,19 +251,21 @@ def _count_range(plans: Sequence[_Plan], begin: int, end: int, aloha: Sequence,
     fixed_rows = np.stack([profile.packed for profile in profiles])
     # each lane's q of each ALOHA node
     probs = np.array([[q for _, _, q in lane.aloha] for lane in plans])
-    draws, send_flags, packed = buffers
-    words, first_fixed = packed.view(np.uint64), len(plan.aloha)
+    first_fixed = len(plan.aloha)
+    fixed = first_fixed + len(plan.tdma)   # the row of turn 0
+    cap = min(block, plan.horizon)
+    draws, send_flags = np.empty(cap), np.empty((len(plans), cap), dtype=bool)
+    # the packed rows, then the sender count's two planes, in whole 64-bit words
+    packed = np.zeros((len(plans), fixed + k + 2, -(-cap // 64) * 8), dtype=np.uint8)
+    words = packed.view(np.uint64)
     # the rows of sends, the plane of exactly one sender, and the rows counted
     sent_words, single, counted = words[:, :-2], words[:, -1:], words[:, :-1]
-    fixed = first_fixed + len(plan.tdma)   # the row of turn 0
     totals = [[0] * (fixed + k) for _ in plans]
-    collisions, decided = [0] * len(plans), [0] * len(plans)
-    phase = width = 0
+    collisions, decided, width = [0] * len(plans), [0] * len(plans), 0
     for first in range(begin, end, block):
         n = min(block, end - first)
-        # one profile per phase of the frames, and one for the short last block
-        if (first - start) % period != phase or n != profiles[0].count:
-            phase = (first - start) % period
+        # the plans' profiles serve every full block unless the period is longer than a block
+        if first > start and period > block or n != profiles[0].count:
             profiles = [_BlockProfile.build(lane.tdma, lane.transmit, k, first, n)
                         for lane in plans]
             fixed_rows = np.stack([profile.packed for profile in profiles])
@@ -325,27 +318,23 @@ def _simulate(lanes: Sequence[tuple[_Plan, int]]) -> list[SimReport]:
     """Count each lane, a (plan, valid seed) pair, and attach its plan's oracle.
 
     The lanes share start, horizon, block and node layout, and each range
-    holds buffers for all of them: lanes x min(block, horizon) slots, which
-    `sweep` keeps within one block. Each range seeds each distinct seed's
-    ALOHA generators through `node_rng`, once for all the lanes of that seed.
+    makes buffers for all of them: lanes x min(block, horizon) slots, which
+    `sweep` keeps within one block. Each range seeds the ALOHA generators
+    through `node_rng` once per run of lanes of equal seed, for all the lanes
+    of that run, so a caller that groups its lanes by seed seeds each seed
+    once. The reports come back in lane order.
     """
-    # the lanes of a seed stand together, so its generators draw once for all of them
-    order = sorted(range(len(lanes)), key=lambda i: lanes[i][1])
-    plans = [lanes[i][0] for i in order]
-    seeds = [(seed, len(list(same))) for seed, same
-             in itertools.groupby(lanes[i][1] for i in order)]
+    plans = [plan for plan, _ in lanes]
+    seeds = [(seed, len(list(same))) for seed, same in itertools.groupby(s for _, s in lanes)]
     plan = plans[0]
     start, horizon, members = plan.start, plan.horizon, plan.members
-    cap = min(plan.block, horizon)
-    rows = len(plan.aloha) + len(plan.tdma) + len(members)
-    # range r counts blocks blocks * r // ranges onward; the calling thread
-    # makes every range's generators and buffers
+    # range r counts blocks blocks * r // ranges onward; the calling thread makes its generators
     blocks = -(-horizon // plan.block)
     ranges = min(WORKERS, blocks)
     bounds = [start + blocks * r // ranges * plan.block for r in range(ranges)] + [start + horizon]
     work = []
     for begin, end in zip(bounds, bounds[1:]):
-        aloha, lo = [], 0   # (lo, hi, generators at AP slot `begin`) of each seed
+        aloha, lo = [], 0   # (lo, hi, generators at AP slot `begin`) of each run of a seed
         for seed, count in seeds:
             generators = []
             for node_id, delay, _ in plan.aloha:
@@ -355,7 +344,7 @@ def _simulate(lanes: Sequence[tuple[_Plan, int]]) -> list[SimReport]:
                 generators.append(rng)
             aloha.append((lo, lo + count, generators))
             lo += count
-        work.append((plans, begin, end, aloha, _range_buffers(len(plans), cap, rows)))
+        work.append((plans, begin, end, aloha))
     if ranges == 1:
         counted = [_count_range(*work[0])]
     else:
@@ -368,30 +357,27 @@ def _simulate(lanes: Sequence[tuple[_Plan, int]]) -> list[SimReport]:
 
     ids = [node_id for node_id, _, _ in plan.aloha] + [node.id for node in plan.tdma]
     k = len(members)
-    reports = [None] * len(lanes)
-    for lane, (i, plan) in enumerate(zip(order, plans)):
+    reports = []
+    for lane, plan in enumerate(plans):
         collisions, sent = 0, plan.sent
-        per_node = dict.fromkeys(range(plan.nodes), 0)
+        per_node = dict.fromkeys(range(len(ids) + k), 0)   # the ids are dense
         for lost, totals, decided in (counts[lane] for counts in counted):
             collisions += lost
             for node_id, count in zip(ids, totals):
                 per_node[node_id] += count
             # transmit decision i from send slot 0 on goes to members[i mod k],
             # and `sent` of them came before this range
-            for turn, count in enumerate(totals[rows - k:]):
+            for turn, count in enumerate(totals[len(ids):]):
                 per_node[members[(sent + turn) % k]] += count
             sent += decided
         successes = sum(per_node.values())   # every success slot has exactly one sender
-        empirical = successes / horizon
-        oracle = plan.oracle
+        empirical, oracle = successes / horizon, plan.oracle
         deviation = None if oracle is None else abs(empirical - oracle.optimal_throughput)
-        reports[i] = SimReport(measured_slots=horizon, successes=successes,
-                               collisions=collisions, idle=horizon - successes - collisions,
-                               per_node_successes=per_node,
-                               empirical_throughput=empirical,
-                               warmup_slots=start,
-                               tdma_cross_collisions=plan.cross,
-                               oracle=oracle, deviation=deviation)
+        reports.append(SimReport(
+            measured_slots=horizon, successes=successes, collisions=collisions,
+            idle=horizon - successes - collisions, per_node_successes=per_node,
+            empirical_throughput=empirical, warmup_slots=start,
+            tdma_cross_collisions=plan.cross, oracle=oracle, deviation=deviation))
     return reports
 
 
@@ -467,7 +453,7 @@ def _apply_parameter(scenario: Scenario, name: str, value) -> Scenario:
         nodes = tuple(replace(n, role=TdmaRole(schedule)) if n.id == tdma[0].id else n
                       for n in scenario.nodes)
         return replace(scenario, nodes=nodes)
-    # sweep has already rejected every other name: horizon, warmup or seed
+    # sweep has already rejected every other name and sets the seed itself: horizon or warmup
     return replace(scenario, **{name: int(value)})
 
 
@@ -479,7 +465,8 @@ def sweep(base: Scenario, grid: Sequence[tuple[str, Sequence]]) -> list[SweepPoi
     valid plan (`_plan`) reuses it: only its seed is checked. The valid points
     of one warm-up and horizon are counted together, wherever they stand in
     the grid, as the lanes of one `_simulate` call, up to as many as fill one
-    block; the points stay in grid order. So the lanes that wait for a
+    block, sorted by seed so that each seed's lanes share its draws; the points
+    stay in grid order. So the lanes that wait for a
     window's batch hold less than one block of packed profile rows.
     Grid-point failures are recorded on the point and the sweep continues.
     An unknown or repeated name, or a value of the wrong kind (`q` and `p` take
@@ -503,12 +490,13 @@ def sweep(base: Scenario, grid: Sequence[tuple[str, Sequence]]) -> list[SweepPoi
                      for value in values if not fits(value)]
     if mistyped:
         raise ValidationError(mistyped)
-    fixed = [i for i, name in enumerate(names) if name != "seed"]
+    fixed = [i for i, name in enumerate(names) if name != "seed"]   # replayed for each plan
     plan = key = None   # the last valid plan and the values but the seed it was built for
     points = []
     pending = {}   # (start, horizon): (index, params, plan, seed) of its points not counted yet
 
     def count(batch):
+        batch.sort(key=lambda lane: lane[3])   # stable: each seed's lanes stand together
         reports = _simulate([(plan, seed) for _, _, plan, seed in batch])
         for (index, params, _, seed), report in zip(batch, reports):
             points[index] = SweepPoint(index, params, seed, report, None)
@@ -521,8 +509,8 @@ def sweep(base: Scenario, grid: Sequence[tuple[str, Sequence]]) -> list[SweepPoi
         try:
             if values != key:
                 scenario = base
-                for name, value in params.items():
-                    scenario = _apply_parameter(scenario, name, value)
+                for i, value in zip(fixed, values):
+                    scenario = _apply_parameter(scenario, names[i], value)
                 plan, key = _plan(replace(scenario, seed=seed)), values
             else:
                 errors = seed_errors(seed)

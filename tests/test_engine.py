@@ -328,6 +328,38 @@ def test_block_profile_is_built_once_per_phase(monkeypatch):
     assert calls == {"tdma": 2}
 
 
+def test_a_period_longer_than_a_block_builds_a_profile_per_block(monkeypatch):
+    # a frame of 16 against blocks of 8 AP slots: only the window's first
+    # block (AP slot 2) is at the plan's phase, so each later block builds
+    # its own profile, the last (AP slots 42 .. 44) a short one
+    monkeypatch.setattr(engine, "BLOCK_SLOTS", 8)
+    monkeypatch.setattr(engine, "WORKERS", 1)
+    built, counting = [], []
+    build, count_range = engine._BlockProfile.build, engine._count_range
+
+    def recorded(tdma, transmit, k, first, count):
+        if counting:
+            built.append(first)
+        return build(tdma, transmit, k, first, count)
+
+    def counted(*args):
+        counting.append(True)
+        try:
+            return count_range(*args)
+        finally:
+            counting.pop()
+
+    monkeypatch.setattr(engine._BlockProfile, "build", staticmethod(recorded))
+    monkeypatch.setattr(engine, "_count_range", counted)
+    scenario = Scenario((_ma(0, 1), _tdma(1, 2, 16, {0, 5}), _aloha(2, 0, 0.2)),
+                        horizon=43, seed=3)
+    report = run(scenario)
+    assert built == [10, 18, 26, 34, 42]
+    _assert_matches_reference(scenario)
+    monkeypatch.setattr(engine, "WORKERS", 2)
+    assert run(scenario) == report
+
+
 def test_helpers_make_no_generator_and_ask_no_policy(monkeypatch):
     # frames 5 and 3 repeat every 15 AP slots, more than a block of 7, so the
     # helper's range builds profiles of its own; generators and the plan's
@@ -1031,6 +1063,19 @@ def test_lanes_of_several_blocks_count_as_their_runs(monkeypatch, workers):
     assert len({plan.sent % 3 for plan in plans if plan.transmit}) == 3
     reports = engine._simulate([(plan, scenario.seed) for plan, scenario in zip(plans, scenarios)])
     assert reports == [run(scenario) for scenario in scenarios]
+
+
+def test_lanes_come_back_in_their_order():
+    # lanes of two plans whose seeds do not stand together: each report stays
+    # at its lane, and no two of them are equal
+    base = Scenario((_ma(0, 1), _tdma(1, 3, 10, {0}), _aloha(2, 5, 0.1), _aloha(3, 0, 0.1)),
+                    horizon=500, seed=5)
+    scenarios = [dataclasses.replace(engine._apply_parameter(base, "q", q), seed=seed)
+                 for q, seed in [(0.2, 12), (0.6, 11), (0.6, 12), (0.2, 11)]]
+    plans = [engine._plan(scenario) for scenario in scenarios]
+    reports = engine._simulate([(plan, scenario.seed) for plan, scenario in zip(plans, scenarios)])
+    assert reports == [run(scenario) for scenario in scenarios]
+    assert len({report.successes for report in reports}) == 4
 
 
 def test_monte_carlo_consistency_four_sigma():
