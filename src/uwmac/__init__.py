@@ -16,20 +16,19 @@ from .oracle import (Branch, OracleResult, expected_mixed_throughput,
                      success_prob_exactly_one)
 from .policies import (ModelAwarePolicy, build_model_aware_policy,
                        compute_forbidden_send_slots)
-from .engine import (ComparisonResult, SimReport, SweepPoint, compare_to_oracle,
-                     default_tolerance, node_rng, run, sweep)
+from .engine import SimReport, SweepPoint, default_tolerance, node_rng, run, sweep
 from .bruteforce import (ActionSequence, Certificate, HorizonLimitError,
                          certify_policy, enumerate_optimal,
                          exact_expected_throughput, policy_sequence)
 
 __all__ = [
     "Action", "AlohaRole", "ActionSequence", "Branch", "Certificate",
-    "ComparisonResult", "ContractViolation", "Delay", "HorizonLimitError",
-    "ModelAwarePolicy", "ModelAwareRole", "NodeId", "NodeSpec", "OracleResult",
-    "Scenario", "SimReport", "SweepPoint", "TdmaRole", "TdmaSchedule",
-    "ValidationError", "build_model_aware_policy", "certify_policy",
-    "compare_to_oracle", "compute_forbidden_send_slots", "default_tolerance",
-    "delay_from_distance", "enumerate_optimal", "exact_expected_throughput",
+    "ContractViolation", "Delay", "HorizonLimitError", "ModelAwarePolicy",
+    "ModelAwareRole", "NodeId", "NodeSpec", "OracleResult", "Scenario",
+    "SimReport", "SweepPoint", "TdmaRole", "TdmaSchedule", "ValidationError",
+    "build_model_aware_policy", "certify_policy",
+    "compute_forbidden_send_slots", "default_tolerance", "delay_from_distance",
+    "enumerate_optimal", "exact_expected_throughput",
     "expected_mixed_throughput", "expected_slot_throughput", "node_rng",
     "optimal_aloha", "optimal_mixed", "optimal_tdma_only", "policy_sequence",
     "prob_all_silent", "run", "success_prob_exactly_one", "sweep",

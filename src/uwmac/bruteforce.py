@@ -159,7 +159,10 @@ def enumerate_optimal(scenario: Scenario) -> tuple[ActionSequence, float]:
 
 def policy_sequence(scenario: Scenario) -> ActionSequence:
     """Action sequence the precomputed model-aware policy plays over the
-    measured window."""
+    measured window of a valid scenario."""
+    errors = validate_scenario(scenario)
+    if errors:
+        raise ValidationError(errors)
     policy = build_model_aware_policy(scenario)
     first_send = scenario.warmup_slots - policy.delay.slots
     transmit = policy.transmit_mask(first_send, scenario.horizon)

@@ -381,26 +381,6 @@ def _simulate(lanes: Sequence[tuple[_Plan, int]]) -> list[SimReport]:
     return reports
 
 
-@dataclass(frozen=True)
-class ComparisonResult:
-    passed: bool
-    deviation: float
-
-
-def check_tolerance(tolerance: float) -> None:
-    """Reject a comparison tolerance that is not a positive finite number."""
-    if not (math.isfinite(tolerance) and tolerance > 0):
-        raise ContractViolation(f"tolerance must be a positive finite number, got {tolerance}")
-
-
-def compare_to_oracle(report: SimReport, oracle: OracleResult,
-                      tolerance: float) -> ComparisonResult:
-    """Pass iff |empirical - optimal| <= tolerance."""
-    check_tolerance(tolerance)
-    deviation = abs(report.empirical_throughput - oracle.optimal_throughput)
-    return ComparisonResult(deviation <= tolerance, deviation)
-
-
 def default_tolerance(optimal_throughput: float, measured_slots: int) -> float:
     """Four-sigma binomial band around the oracle value, with a tiny floor so
     deterministic scenarios still compare cleanly."""

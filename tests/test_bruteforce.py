@@ -12,7 +12,7 @@ from uwmac.bruteforce import (ActionSequence, HorizonLimitError, certify_policy,
                               policy_sequence)
 from uwmac.core import (Action, AlohaRole, ContractViolation, Delay,
                         ModelAwareRole, NodeSpec, Scenario, TdmaRole,
-                        TdmaSchedule)
+                        TdmaSchedule, ValidationError)
 from uwmac.engine import run
 from uwmac.oracle import optimal_mixed
 
@@ -112,6 +112,20 @@ def test_all_transmit_hits_tdma_arrivals():
 def test_policy_sequence_against_tdma_is_perfect():
     scn = _scenario(_ma(0, 1), _tdma(1, 4, 5, {0}), horizon=10)
     assert exact_expected_throughput(policy_sequence(scn), scn) == 1.0
+
+
+@pytest.mark.parametrize("scn", [
+    # in the wait branch, a negative horizon reached numpy as a negative size
+    _scenario(_ma(0, 1), _aloha(1, 0, 0.9), horizon=-1),
+    _scenario(_ma(0, 1), _aloha(2, 0, 0.3), horizon=4),
+    Scenario((_ma(0, 3),), horizon=4, warmup=1),
+], ids=["negative-horizon", "sparse-ids", "warmup-below-delay"])
+def test_policy_sequence_rejects_what_enumeration_rejects(scn):
+    with pytest.raises(ValidationError) as enumerated:
+        enumerate_optimal(scn)
+    with pytest.raises(ValidationError) as played:
+        policy_sequence(scn)
+    assert played.value.errors == enumerated.value.errors
 
 
 def test_sequence_length_must_match_horizon():

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -35,6 +36,12 @@ PURE_TDMA = {
     "horizon": 10000,
     "seed": 7,
 }
+
+# 97 measured slots can never hit the oracle's 0.5 exactly, so the deviation
+# is never 0 and a tiny tolerance must fail
+COIN_ALOHA = {**SINGLE_ALOHA, "horizon": 97,
+              "nodes": [SINGLE_ALOHA["nodes"][0],
+                        {"id": 1, "delay_slots": 0, "role": {"aloha": {"q": 0.5}}}]}
 
 TDMA_OVERLAP = {
     "nodes": [
@@ -165,11 +172,7 @@ def test_stdout_matches_golden(monkeypatch, capsys, case):
 
 
 def test_run_comparison_failure_exits_1(tmp_path, capsys):
-    # 97 measured slots can never hit 0.5 exactly, so a tiny tolerance must fail
-    path = _write(tmp_path, "single_aloha.json",
-                  {**SINGLE_ALOHA, "horizon": 97,
-                   "nodes": [SINGLE_ALOHA["nodes"][0],
-                             {"id": 1, "delay_slots": 0, "role": {"aloha": {"q": 0.5}}}]})
+    path = _write(tmp_path, "single_aloha.json", COIN_ALOHA)
     assert main(["run", "--scenario", path, "--tolerance", "1e-12"]) == 1
     assert "FAIL" in capsys.readouterr().out
 
@@ -288,6 +291,35 @@ def test_run_overrides(tmp_path, capsys):
     assert "seed 9" in stdout
 
 
+def test_a_valid_override_replaces_an_invalid_file_value(tmp_path, capsys):
+    path = _write(tmp_path, "single_aloha.json", {**SINGLE_ALOHA, "horizon": 0})
+    assert main(["run", "--scenario", path, "--slots", "100"]) == 0
+    assert "measured slots: 100" in capsys.readouterr().out
+
+
+def test_overrides_are_checked_as_file_fields_all_errors_at_once(tmp_path, capsys):
+    path = _write(tmp_path, "single_aloha.json", SINGLE_ALOHA)
+    assert main(["run", "--scenario", path, "--slots", "0", "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert "horizon: expected a positive integer" in err
+    assert "seed: expected an unsigned 64-bit integer" in err
+
+
+def test_pass_is_deviation_at_most_tolerance(tmp_path):
+    path = _write(tmp_path, "coin.json", COIN_ALOHA)
+    out = tmp_path / "r.csv"
+    assert main(["run", "--scenario", path, "--out", str(out)]) in (0, 1)
+    deviation = float(_read_csv(out)[0]["deviation"])
+    assert deviation > 0
+    assert main(["run", "--scenario", path, "--out", str(out),
+                 "--tolerance", repr(deviation)]) == 0
+    assert _read_csv(out)[0]["pass"] == "true"
+    below = math.nextafter(deviation, 0)
+    assert main(["run", "--scenario", path, "--out", str(out),
+                 "--tolerance", repr(below)]) == 1
+    assert _read_csv(out)[0]["pass"] == "false"
+
+
 def test_run_huge_warmup_finishes(capsys):
     # the ALOHA node skips its unmeasured draws and the engine walks only the
     # measured window, so a warm-up of 1e12 slots allocates nothing of its size;
@@ -357,10 +389,7 @@ def test_sweep_empty_grid_header_only(tmp_path, capsys):
 
 
 def test_sweep_comparison_failure_exits_1(tmp_path):
-    path = _write(tmp_path, "single_aloha.json",
-                  {**SINGLE_ALOHA, "horizon": 97,
-                   "nodes": [SINGLE_ALOHA["nodes"][0],
-                             {"id": 1, "delay_slots": 0, "role": {"aloha": {"q": 0.5}}}]})
+    path = _write(tmp_path, "single_aloha.json", COIN_ALOHA)
     out = tmp_path / "s.csv"
     assert main(["sweep", "--scenario", path, "--sweep", "q=0.5",
                  "--tolerance", "1e-12", "--out", str(out)]) == 1

@@ -20,9 +20,8 @@ from uwmac.core import (Action, AlohaRole, ContractViolation, Delay, ModelAwareR
                         NodeSpec, Scenario, TdmaRole, TdmaSchedule,
                         ValidationError)
 from uwmac import engine, policies
-from uwmac.engine import (SimReport, compare_to_oracle, default_tolerance, node_rng,
-                          run, sweep)
-from uwmac.oracle import Branch, OracleResult, optimal_aloha
+from uwmac.engine import default_tolerance, node_rng, run, sweep
+from uwmac.oracle import Branch
 from uwmac.policies import ModelAwarePolicy, build_model_aware_policy, tdma_slot_mask
 
 
@@ -669,30 +668,6 @@ def test_warmup_convention_recorded():
     assert run(scenario).warmup_slots == 3
     explicit = dataclasses.replace(scenario, warmup=10)
     assert run(explicit).warmup_slots == 10
-
-
-@pytest.mark.parametrize("empirical,oracle_value,tolerance,passed", [
-    (1.0, 1.0, 1e-9, True),
-    (0.495, 0.5, 0.01, True),
-    (0.55, 0.5, 0.01, False),
-])
-def test_compare_to_oracle(empirical, oracle_value, tolerance, passed):
-    report = SimReport(measured_slots=1000, successes=int(empirical * 1000),
-                       collisions=0, idle=0, per_node_successes={},
-                       empirical_throughput=empirical, warmup_slots=0,
-                       tdma_cross_collisions=0)
-    oracle = optimal_aloha([1.0 - oracle_value]) if oracle_value != 1.0 \
-        else OracleResult(1.0, 1.0)
-    result = compare_to_oracle(report, oracle, tolerance)
-    assert result.passed is passed
-    assert result.deviation == pytest.approx(abs(empirical - oracle_value), abs=1e-12)
-
-
-def test_compare_to_oracle_rejects_bad_tolerance():
-    report = run(Scenario((_ma(0, 0),), horizon=10, seed=0))
-    for tolerance in (0.0, -1.0, math.nan, math.inf):
-        with pytest.raises(ContractViolation):
-            compare_to_oracle(report, report.oracle, tolerance)
 
 
 def test_default_tolerance_shape():
