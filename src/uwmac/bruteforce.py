@@ -91,8 +91,7 @@ class _Window(NamedTuple):
 @functools.lru_cache(maxsize=1)
 def _window(scenario: Scenario) -> _Window:
     """The window of a valid scenario with a model-aware decision stream. The
-    last one is kept, so `certify_policy` and the two evaluations it calls
-    build it once."""
+    last one is kept, so evaluations of one scenario in a row build it once."""
     errors = validate_scenario(scenario)
     if errors:
         raise ValidationError(errors)
@@ -110,14 +109,19 @@ def exact_expected_throughput(seq: ActionSequence, scenario: Scenario) -> float:
     slot warmup + i. Works for a single model-aware node or a strict-mode
     gateway group (one decision stream either way).
     """
-    window = _window(scenario)
-    if len(seq) != scenario.horizon:
+    return _expected_throughput(seq, _window(scenario))
+
+
+def _expected_throughput(seq: ActionSequence, window: _Window) -> float:
+    """`exact_expected_throughput` over the window of the sequence's scenario."""
+    horizon = len(window.classes)
+    if len(seq) != horizon:
         raise ContractViolation(f"sequence length {len(seq)} must equal the "
-                                f"horizon {scenario.horizon}")
+                                f"horizon {horizon}")
     total = 0.0
     for bit, c in zip(seq.bits, window.classes):
         total += window.transmit[c] if bit is Action.TRANSMIT else window.wait[c]
-    return total / scenario.horizon
+    return total / horizon
 
 
 def _optimum(wait: Sequence[float], transmit: Sequence[float]) -> tuple[ActionSequence, float]:
@@ -148,11 +152,18 @@ def enumerate_optimal(scenario: Scenario) -> tuple[ActionSequence, float]:
     Ties break toward the lexicographically largest sequence (TRANSMIT before
     WAIT), matching the policy module's z = 0 rule.
     """
-    h = scenario.horizon
+    _check_enumerable(scenario.horizon)
+    return _enumerate(_window(scenario))
+
+
+def _check_enumerable(h: int) -> None:
     if h > ENUMERATION_HORIZON_LIMIT:
         raise HorizonLimitError(f"horizon {h} exceeds the enumeration limit "
                                 f"{ENUMERATION_HORIZON_LIMIT}")
-    window = _window(scenario)
+
+
+def _enumerate(window: _Window) -> tuple[ActionSequence, float]:
+    """`enumerate_optimal` over a window no longer than the limit."""
     return _optimum([window.wait[c] for c in window.classes],
                     [window.transmit[c] for c in window.classes])
 
@@ -197,11 +208,13 @@ def certify_policy(scenario: Scenario) -> Certificate:
     equal the closed-form optimum at the window's fractions of AP slots with
     one and with several TDMA arrivals."""
     h = scenario.horizon
-    best_seq, best_value = enumerate_optimal(scenario)
-    classes = _window(scenario).classes
-    policy_value = exact_expected_throughput(policy_sequence(scenario), scenario)
-    fraction = classes.count(1) / h
-    blocked = classes.count(2) / h
+    _check_enumerable(h)
+    # one window for the enumeration and the policy's value
+    window = _window(scenario)
+    best_seq, best_value = _enumerate(window)
+    policy_value = _expected_throughput(policy_sequence(scenario), window)
+    fraction = window.classes.count(1) / h
+    blocked = window.classes.count(2) / h
     oracle_value = optimal_mixed(fraction, scenario.aloha_probs, blocked).optimal_throughput
     return Certificate(h, best_seq, best_value, policy_value, oracle_value,
                        fraction, blocked, CERTIFICATE_TOLERANCE)

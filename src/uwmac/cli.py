@@ -7,6 +7,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import json
 import math
 import sys
@@ -170,16 +171,6 @@ def load_scenario(path: str, slots: int | None = None, warmup: int | None = None
     return parse_scenario(doc)
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _report_row(scenario_id: str, seed: int, report: SimReport,
                 tolerance: float | None) -> dict:
     """CSV row of one report; with an oracle, the report passes when its
@@ -212,13 +203,28 @@ def _report_row(scenario_id: str, seed: int, report: SimReport,
     return row
 
 
+# the types that the CSV writer renders as the rows want them: None as "",
+# the others by str, which for an exact float is its repr
+_AS_IS = frozenset({type(None), str, int, float})
+
+
+def _cell(value):
+    """A value of any other type as the writer should get it: bools spelled
+    out, and a float subclass such as np.float64, whose str need not be its
+    repr, by repr."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return repr(value) if isinstance(value, float) else value
+
+
 def _write_csv(out_path: str | None, fieldnames: list[str], rows: list[dict]) -> None:
     """Write rows to out_path, or to stdout when it is None; absent keys stay empty."""
     with (contextlib.nullcontext(sys.stdout) if out_path is None
           else open(out_path, "w", newline="")) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(fieldnames)
-        writer.writerows([_fmt(row.get(key)) for key in fieldnames] for row in rows)
+        writer.writerows([value if type(value) in _AS_IS else _cell(value)
+                          for value in map(row.get, fieldnames)] for row in rows)
 
 
 def _input_error(errors: list[str]) -> int:
@@ -352,7 +358,9 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if cert.matches else EXIT_FAILED
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process: parsing leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="uwmac",
         description="Slotted MAC coexistence simulator with analytic oracles")

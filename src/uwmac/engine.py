@@ -40,7 +40,11 @@ whatever its seed: validation, the period and block, the policy's branch
 window's TDMA classes, its cross collisions and the oracle at them, held in a
 `_Plan`. A window of one block reads its classes off that profile; one
 counter of the classes (`_tdma_classes`) gives those of a longer window and
-the gateway's decisions before the window.
+the gateway's decisions before the window. The part that q does not move
+either, its `_Layout` (period, block, profile, classes and the gateway's
+decisions before the window), is fixed by the TDMA nodes, the window, the
+branch and the stream's member count and delay; `sweep` hands its plans one
+`_Layouts` memo of them by that key, and `run` none.
 
 `_simulate` counts lanes. A lane is a (plan, seed) pair, and the lanes of one
 call share start, horizon, block and node layout; `run` is a call of one lane.
@@ -55,7 +59,14 @@ oracle.
 `sweep` keeps its last valid plan: a point whose parameters other than `seed`
 equal those that built it checks only its seed (`seed_errors`, the rule
 `validate_scenario` applies) and reuses that plan. So a grid that lists
-`seed` last builds one plan per run of seeds. The valid points of one warm-up
+`seed` last builds one plan per run of seeds. It also keeps the chain of
+scenarios that its grid parameters derive from `base`, one parameter at a
+time in grid order, so a new plan applies again only the parameters from the
+first one whose value changed (or failed last time). Its plans share their
+layouts through the sweep's memo, whose profiles hold at most BLOCK_SLOTS
+slots in all: a layout that would take them past clears the memo first. The
+validation, the branch and the oracle still run once per plan, so every
+point keeps its own error. The valid points of one warm-up
 and horizon are counted together, wherever they stand in the grid, in batches
 of at most BLOCK_SLOTS // min(block, horizon) lanes. So a batch's buffers are
 never larger than one run's, and a batch of several lanes has a window of one
@@ -70,7 +81,7 @@ import math
 import numbers
 import os
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -200,35 +211,76 @@ class _Plan:
     oracle: OracleResult | None     # at the window's classes; None without a stream
 
 
-def _plan(scenario: Scenario) -> _Plan:
-    """Validate `scenario` and build all of its run that does not depend on the seed."""
+class _Layout(NamedTuple):
+    """The part of a plan that neither its seed nor its q fixes: what its TDMA
+    nodes, window, branch and stream's member count and delay fix."""
+
+    period: int
+    block: int
+    profile: _BlockProfile
+    single: int                     # the window's AP slots of exactly one TDMA arrival
+    cross: int
+    sent: int
+
+
+class _Layouts(dict):
+    """The layouts of one `sweep`'s plans, by what fixes them. Their profiles
+    hold at most BLOCK_SLOTS slots in all: one that would take them past
+    clears the rest first."""
+
+    slots = 0
+
+    def keep(self, key: tuple, layout: _Layout) -> None:
+        if self.slots + layout.profile.count > BLOCK_SLOTS:
+            self.clear()
+            self.slots = 0
+        self[key] = layout
+        self.slots += layout.profile.count
+
+
+def _layout(tdma: tuple[NodeSpec, ...], start: int, horizon: int, transmit: bool,
+            k: int, delay: int) -> _Layout:
+    """The layout of a window of `horizon` AP slots from `start`, for a
+    model-aware stream of k members at `delay` slots (k = 0 without one)."""
+    # inside the window every send slot is >= 0 and below send_slots, so the
+    # TDMA arrivals and the decisions repeat every `period` AP slots
+    period = math.lcm(*[node.role.schedule.frame_length for node in tdma])
+    block = BLOCK_SLOTS - BLOCK_SLOTS % period if period <= BLOCK_SLOTS else BLOCK_SLOTS
+    profile = _BlockProfile.build(tdma, transmit, k, start, min(block, horizon))
+    # a window of one block is that profile's
+    single, cross = ((profile.single, profile.cross) if horizon <= block
+                     else _tdma_classes(tdma, start, start + horizon, period))
+    # the gateway's decisions before the window, its free AP slots, set its first turn
+    sent = (start - delay - sum(_tdma_classes(tdma, delay, start, period))
+            if k > 1 and transmit else 0)
+    return _Layout(period, block, profile, single, cross, sent)
+
+
+def _plan(scenario: Scenario, layouts: _Layouts | None = None) -> _Plan:
+    """Validate `scenario` and build all of its run that does not depend on the
+    seed. Its layout comes from `layouts` when they hold it, and goes there
+    when they do not."""
     errors = validate_scenario(scenario)
     if errors:
         raise ValidationError(errors)
     start, horizon = scenario.warmup_slots, scenario.horizon
     tdma = scenario.tdma_nodes
-    # inside the window every send slot is >= 0 and below send_slots, so the
-    # TDMA arrivals and the decisions repeat every `period` AP slots
-    period = math.lcm(*[node.role.schedule.frame_length for node in tdma])
-    block = BLOCK_SLOTS - BLOCK_SLOTS % period if period <= BLOCK_SLOTS else BLOCK_SLOTS
     group = scenario.model_aware_nodes   # its members share one delay
     members = tuple(n.id for n in group)
-    k = len(members)
     transmit = bool(members) and (build_model_aware_policy(scenario).default_action
                                   is Action.TRANSMIT)
-    profile = _BlockProfile.build(tdma, transmit, k, start, min(block, horizon))
-    # a window of one block is that profile's
-    single, cross = ((profile.single, profile.cross) if horizon <= block
-                     else _tdma_classes(tdma, start, start + horizon, period))
-    sent, oracle = 0, None
-    if members:
-        # the gateway's decisions before the window, its free AP slots, set its first turn
-        if k > 1 and transmit:
-            delay = group[0].delay.slots
-            sent = start - delay - sum(_tdma_classes(tdma, delay, start, period))
-        oracle = optimal_mixed(single / horizon, scenario.aloha_probs, cross / horizon)
+    # all that fixes the layout, as `_layout` takes it
+    key = (tdma, start, horizon, transmit, len(members), group[0].delay.slots if group else 0)
+    layout = None if layouts is None else layouts.get(key)
+    if layout is None:
+        layout = _layout(*key)
+        if layouts is not None:
+            layouts.keep(key, layout)
+    oracle = (optimal_mixed(layout.single / horizon, scenario.aloha_probs, layout.cross / horizon)
+              if members else None)
     return _Plan(tuple((n.id, n.delay.slots, n.role.q) for n in scenario.aloha_nodes), tdma,
-                 start, horizon, period, block, transmit, members, sent, profile, cross, oracle)
+                 start, horizon, layout.period, layout.block, transmit, members, layout.sent,
+                 layout.profile, layout.cross, oracle)
 
 
 def _count_range(plans: Sequence[_Plan], begin: int, end: int, aloha: Sequence) -> list[tuple]:
@@ -442,7 +494,12 @@ def sweep(base: Scenario, grid: Sequence[tuple[str, Sequence]]) -> list[SweepPoi
     whose grid lists no `seed` takes one derived from (base seed, point index).
 
     A point whose parameters other than `seed` equal those that built the last
-    valid plan (`_plan`) reuses it: only its seed is checked. The valid points
+    valid plan (`_plan`) reuses it: only its seed is checked. Any other point
+    derives its scenario from the chain that the earlier points left, applying
+    again only the parameters from the first one that changed, and builds its
+    plan around a layout that the sweep's memo may already hold (keyed by the
+    TDMA nodes, window, branch and the stream's member count and delay; at
+    most BLOCK_SLOTS profile slots in all). The valid points
     of one warm-up and horizon are counted together, wherever they stand in
     the grid, as the lanes of one `_simulate` call, up to as many as fill one
     block, sorted by seed so that each seed's lanes share its draws; the points
@@ -470,8 +527,11 @@ def sweep(base: Scenario, grid: Sequence[tuple[str, Sequence]]) -> list[SweepPoi
                      for value in values if not fits(value)]
     if mistyped:
         raise ValidationError(mistyped)
-    fixed = [i for i, name in enumerate(names) if name != "seed"]   # replayed for each plan
+    fixed = [i for i, name in enumerate(names) if name != "seed"]
+    # chain[j] is base with the first j values of `applied` applied, in grid order
+    chain, applied = [base], []
     plan = key = None   # the last valid plan and the values but the seed it was built for
+    layouts = _Layouts()
     points = []
     pending = {}   # (start, horizon): (index, params, plan, seed) of its points not counted yet
 
@@ -488,10 +548,14 @@ def sweep(base: Scenario, grid: Sequence[tuple[str, Sequence]]) -> list[SweepPoi
         values = [combo[i] for i in fixed]
         try:
             if values != key:
-                scenario = base
-                for i, value in zip(fixed, values):
-                    scenario = _apply_parameter(scenario, names[i], value)
-                plan, key = _plan(replace(scenario, seed=seed)), values
+                # apply again from the first value that the chain does not hold
+                same = next((j for j, value in enumerate(applied) if value != values[j]),
+                            len(applied))
+                del chain[same + 1:], applied[same:]
+                for i, value in zip(fixed[same:], values[same:]):
+                    chain.append(_apply_parameter(chain[-1], names[i], value))
+                    applied.append(value)
+                plan, key = _plan(replace(chain[-1], seed=seed), layouts), values
             else:
                 errors = seed_errors(seed)
                 if errors:

@@ -228,6 +228,19 @@ def test_certificate_three_way_match():
     assert cert.tdma_window_fraction == pytest.approx(0.2, abs=1e-15)
 
 
+def test_a_certificate_works_its_window_out_once():
+    # the enumeration and the policy's value get the window certify_policy built
+    scn = _scenario(_ma(0, 1), _tdma(1, 4, 5, {0}), _aloha(2, 0, 0.3), horizon=10)
+    bruteforce._window.cache_clear()
+    cert = certify_policy(scn)
+    info = bruteforce._window.cache_info()
+    assert (info.misses, info.hits) == (1, 0)
+    assert cert.matches
+    assert (cert.best_value, cert.policy_value) == (enumerate_optimal(scn)[1],
+                                                    exact_expected_throughput(
+                                                        policy_sequence(scn), scn))
+
+
 def test_certificate_covers_overlapping_tdma():
     # both TDMA arrivals land on every even AP slot, so half the window is blocked
     scn = _scenario(_ma(0, 0), _tdma(1, 0, 2, {0}), _tdma(2, 0, 2, {0}), horizon=6)

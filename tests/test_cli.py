@@ -8,9 +8,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from uwmac import cli
 from uwmac.cli import CSV_COLUMNS, main, parse_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -338,6 +340,61 @@ def test_csv_byte_identical_across_runs(tmp_path):
     main(["run", "--scenario", path, "--out", str(out1)])
     main(["run", "--scenario", path, "--out", str(out2)])
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_calls_in_one_process_write_what_each_writes_alone(tmp_path, capsys):
+    # the parser is built once per process, and no --sweep list of one call
+    # reaches the next
+    doc = {**SINGLE_ALOHA, "horizon": 500,
+           "nodes": SINGLE_ALOHA["nodes"] + [
+               {"id": 2, "delay_slots": 2,
+                "role": {"tdma": {"frame_length": 10, "assigned": [0]}}}]}
+    path = _write(tmp_path, "mixed.json", doc)
+    commands = [["sweep", "--scenario", path, "--sweep", "q=0.2,0.8"],
+                ["run", "--scenario", path, "--out", str(tmp_path / "run.csv")],
+                ["sweep", "--scenario", path, "--sweep", "p=0.1,0.3", "--sweep", "seed=1,2"]]
+    src = Path(__file__).resolve().parent.parent / "src"
+    alone = []
+    for argv in commands:
+        result = subprocess.run([sys.executable, "-m", "uwmac.cli", *argv],
+                                capture_output=True, text=True, timeout=60,
+                                env={**os.environ, "PYTHONPATH": str(src)})
+        assert result.returncode == 0, result.stderr
+        alone.append(result.stdout)
+    alone_csv = (tmp_path / "run.csv").read_bytes()
+    (tmp_path / "run.csv").unlink()
+    together = []
+    for argv in commands:
+        assert main(argv) == 0
+        together.append(capsys.readouterr().out)
+    assert cli.build_parser() is cli.build_parser()
+    assert together == alone
+    assert (tmp_path / "run.csv").read_bytes() == alone_csv
+    assert together[2].splitlines()[0].startswith("p,seed,scenario_id")
+
+
+def _fmt(value) -> str:
+    """The CSV cell rule that `_write_csv` keeps: None empty, bools spelled
+    out, floats by repr and anything else by str."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def test_csv_cells_are_rendered_by_the_cell_rule(tmp_path):
+    values = [None, True, False, 0, -0.0, 1e-300, math.nan, math.inf, np.float64(0.1),
+              np.bool_(True), 'error: bad "p", 0.3']
+    names = [f"c{i}" for i in range(len(values))]
+    out = tmp_path / "cells.csv"
+    cli._write_csv(str(out), names, [dict(zip(names, values)), {}])
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerows([names, [_fmt(value) for value in values], [""] * len(names)])
+    assert out.read_bytes() == expected.getvalue().encode()
 
 
 def test_sweep_q_grid(tmp_path):

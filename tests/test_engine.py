@@ -967,6 +967,76 @@ def test_a_sweep_counts_its_short_points_in_batches(monkeypatch):
     assert "seed" in points[1].error and "whole number of slots" in points[3].error
 
 
+def test_a_sweep_builds_one_profile_per_layout(monkeypatch):
+    # the sweep_short shape: q moves only the branch, so the 48 plans of
+    # 8 q x 6 p share 6 p x 2 branches = 12 profiles; a change of q applies
+    # q and p again and a change of p only p, 8 x 2 + 40 = 56 parameters
+    calls = collections.Counter()
+    monkeypatch.setattr(engine._BlockProfile, "build",
+                        staticmethod(_counted(calls, "profile", engine._BlockProfile.build)))
+    monkeypatch.setattr(engine, "_apply_parameter",
+                        _counted(calls, "apply", engine._apply_parameter))
+    monkeypatch.setattr(engine, "_plan", _counted(calls, "plan", engine._plan))
+    base = Scenario((_ma(0, 1), _tdma(1, 3, 10, {0}), _aloha(2, 5, 0.1), _aloha(3, 0, 0.1)),
+                    horizon=500, seed=5)
+    grid = [("q", [0.05, 0.1, 0.2, 0.3, 0.6, 0.7, 0.8, 0.9]),
+            ("p", [0.0, 0.1, 0.2, 0.3, 0.4, 0.5]), ("seed", [11, 12, 13, 14])]
+    points = sweep(base, grid)
+    assert calls == {"profile": 12, "apply": 56, "plan": 48}
+    assert {point.report.oracle.chosen_branch for point in points} == set(Branch)
+    for point in points:
+        assert point.report == run(_point_scenario(base, point))
+
+
+def test_a_sweeps_profiles_stay_within_a_block(monkeypatch):
+    # blocks of 40 AP slots hold three profiles of a 12-slot window, and the
+    # grid's 10 p x 2 branches make 20: the layouts are cleared as they fill
+    monkeypatch.setattr(engine, "BLOCK_SLOTS", 40)
+    held = []
+    keep = engine._Layouts.keep
+
+    def recorded(layouts, key, layout):
+        keep(layouts, key, layout)
+        assert sum(kept.profile.count for kept in layouts.values()) == layouts.slots
+        held.append(layouts.slots)
+
+    monkeypatch.setattr(engine._Layouts, "keep", recorded)
+    base = Scenario((_ma(0, 1), _tdma(1, 3, 10, {0}), _aloha(2, 5, 0.1), _aloha(3, 0, 0.1)),
+                    horizon=12, seed=5)
+    points = sweep(base, [("q", [0.2, 0.8]), ("p", [k / 10 for k in range(10)]),
+                          ("seed", [1, 2])])
+    assert len(held) == 20 and max(held) == 36 and held.count(12) == 7
+    for point in points:
+        assert point.report == run(_point_scenario(base, point))
+
+
+def test_a_bad_value_between_good_ones_keeps_its_error(monkeypatch):
+    # q = 1.7 and p = 0.3 of a 4-slot frame fail; the chain of scenarios
+    # applies again from the parameter that failed, so every point after
+    # a failure is still the run of its own values
+    applied = []
+    apply = engine._apply_parameter
+
+    def recorded(scenario, name, value):
+        applied.append(name)
+        return apply(scenario, name, value)
+
+    monkeypatch.setattr(engine, "_apply_parameter", recorded)
+    base = SWEEP_BASES["one_tdma"]
+    points = sweep(base, [("q", [0.2, 1.7, 0.3]), ("p", [0.25, 0.3, 0.5])])
+    assert applied == ["q", "p", "p", "p", "q", "q", "q", "q", "p", "p", "p"]
+    assert [point.report is None for point in points] == [False, True, False, True, True,
+                                                          True, False, True, False]
+    for point in points:
+        try:
+            expected = (run(_point_scenario(base, point)), None)
+        except ValidationError as exc:
+            expected = (None, str(exc))
+        assert (point.report, point.error) == expected
+    assert all("probability" in point.error for point in points[3:6])
+    assert "whole number of slots" in points[1].error and points[1].error == points[7].error
+
+
 def test_a_sweep_batches_each_window_across_the_grid(monkeypatch):
     # with horizon innermost no two consecutive points share a window, yet
     # each window's 192 points fill 130 + 62 lanes at H = 501 and 131 + 61 at
