@@ -20,7 +20,7 @@ from .bruteforce import (ENUMERATION_HORIZON_LIMIT, HorizonLimitError,
 from .core import (Action, AlohaRole, ContractViolation, Delay, ModelAwareRole,
                    NodeSpec, Scenario, TdmaRole, TdmaSchedule, ValidationError,
                    delay_from_distance, is_real, validate_scenario)
-from .engine import SimReport, default_tolerance, run, sweep
+from .engine import default_tolerance, run, sweep
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -171,38 +171,6 @@ def load_scenario(path: str, slots: int | None = None, warmup: int | None = None
     return parse_scenario(doc)
 
 
-def _report_row(scenario_id: str, seed: int, report: SimReport,
-                tolerance: float | None) -> dict:
-    """CSV row of one report; with an oracle, the report passes when its
-    deviation is at most `tolerance` (None for the four-sigma default)."""
-    row = {
-        "scenario_id": scenario_id,
-        "seed": seed,
-        "measured_slots": report.measured_slots,
-        "successes": report.successes,
-        "collisions": report.collisions,
-        "idle": report.idle,
-        "empirical": report.empirical_throughput,
-        "tdma_cross_collisions": report.tdma_cross_collisions,
-        "status": "ok",
-    }
-    if report.oracle is None:
-        row["status"] = "oracle-na"
-        return row
-    if tolerance is None:
-        tolerance = default_tolerance(report.oracle.optimal_throughput,
-                                      report.measured_slots)
-    row.update({
-        "oracle": report.oracle.optimal_throughput,
-        "branch": report.oracle.chosen_branch.value,
-        "z": report.oracle.z_value,
-        "deviation": report.deviation,
-        "tolerance": tolerance,
-        "pass": report.deviation <= tolerance,
-    })
-    return row
-
-
 # the types that the CSV writer renders as the rows want them: None as "",
 # the others by str, which for an exact float is its repr
 _AS_IS = frozenset({type(None), str, int, float})
@@ -217,14 +185,50 @@ def _cell(value):
     return repr(value) if isinstance(value, float) else value
 
 
-def _write_csv(out_path: str | None, fieldnames: list[str], rows: list[dict]) -> None:
-    """Write rows to out_path, or to stdout when it is None; absent keys stay empty."""
+def _write_csv(out_path: str | None, fieldnames: list[str], rows: list[list]) -> None:
+    """Write rows, each a list in the order of `fieldnames`, to out_path, or to
+    stdout when it is None."""
     with (contextlib.nullcontext(sys.stdout) if out_path is None
           else open(out_path, "w", newline="")) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(fieldnames)
-        writer.writerows([value if type(value) in _AS_IS else _cell(value)
-                          for value in map(row.get, fieldnames)] for row in rows)
+        writer.writerows(row if _AS_IS.issuperset(map(type, row)) else
+                         [value if type(value) in _AS_IS else _cell(value) for value in row]
+                         for row in rows)
+
+
+def _rows(entries, tolerance: float | None) -> tuple[list[list], bool]:
+    """The CSV row of each (params, scenario id, seed, report, error), as a
+    list in column order: the swept `params`, then CSV_COLUMNS; and whether
+    every report passed. The report is None when `error` stopped its point.
+    With an oracle, a report passes when its deviation is at most `tolerance`
+    (None for the four-sigma default). The verdict and the cells that the
+    oracle fixes are rendered here by the cell rule, the latter once for a
+    run of points that share their plan's oracle."""
+    rows, passed, oracle, slots = [], True, None, None
+    for params, scenario_id, seed, report, error in entries:
+        if report is None:
+            rows.append([*params, scenario_id, seed, *[None] * (len(CSV_COLUMNS) - 3),
+                         f"error: {error}"])
+            continue
+        row = [*params, scenario_id, seed, report.measured_slots, report.successes,
+               report.collisions, report.idle, report.empirical_throughput]
+        if report.oracle is None:
+            row += [None] * 6 + [report.tdma_cross_collisions, "oracle-na"]
+        else:
+            if report.oracle is not oracle or report.measured_slots != slots:
+                oracle, slots = report.oracle, report.measured_slots
+                limit = (default_tolerance(oracle.optimal_throughput, slots)
+                         if tolerance is None else tolerance)
+                shared = (_cell(oracle.optimal_throughput), oracle.chosen_branch.value,
+                          _cell(oracle.z_value))
+                shown = _cell(limit)
+            verdict = report.deviation <= limit
+            passed &= verdict
+            row += [*shared, report.deviation, shown, _cell(verdict),
+                    report.tdma_cross_collisions, "ok"]
+        rows.append(row)
+    return rows, passed
 
 
 def _input_error(errors: list[str]) -> int:
@@ -255,7 +259,7 @@ def _cmd_run(args) -> int:
         return _input_error(errors)
     report = run(scenario)
     scenario_id = Path(args.scenario).stem
-    row = _report_row(scenario_id, scenario.seed, report, args.tolerance)
+    (row,), passed = _rows([([], scenario_id, scenario.seed, report, None)], args.tolerance)
 
     print(f"scenario: {scenario_id} (seed {scenario.seed})")
     print(f"nodes: {len(scenario.model_aware_nodes)} model-aware, "
@@ -273,11 +277,12 @@ def _cmd_run(args) -> int:
     else:
         print(f"oracle optimal: {report.oracle.optimal_throughput!r} "
               f"({report.oracle.chosen_branch.value} branch, z={report.oracle.z_value!r})")
-        verdict = "PASS" if row["pass"] else "FAIL"
-        print(f"deviation: {report.deviation!r} (tolerance {row['tolerance']!r}) -> {verdict}")
+        tolerance = row[CSV_COLUMNS.index("tolerance")]   # rendered as the CSV holds it
+        verdict = "PASS" if passed else "FAIL"
+        print(f"deviation: {report.deviation!r} (tolerance {tolerance}) -> {verdict}")
     if args.out:
         _write_csv(args.out, CSV_COLUMNS, [row])
-    return EXIT_FAILED if row.get("pass") is False else EXIT_OK
+    return EXIT_OK if passed else EXIT_FAILED
 
 
 def _parse_grid(specs: list[str]) -> tuple[list[tuple[str, list]], list[str]]:
@@ -315,19 +320,10 @@ def _cmd_sweep(args) -> int:
     except (ValidationError, ContractViolation) as exc:
         return _input_error([str(exc)])
 
-    param_names = [name for name, _ in grid]
-    rows = []
-    for point in points:
-        point_id = f"{scenario_id}#{point.index}"
-        if point.report is None:
-            row = {"scenario_id": point_id, "seed": point.seed,
-                   "status": f"error: {point.error}"}
-        else:
-            row = _report_row(point_id, point.seed, point.report, args.tolerance)
-        row.update(point.params)
-        rows.append(row)
-    _write_csv(args.out, param_names + CSV_COLUMNS, rows)
-    return EXIT_FAILED if any(row.get("pass") is False for row in rows) else EXIT_OK
+    rows, passed = _rows([(point.params.values(), f"{scenario_id}#{point.index}", point.seed,
+                           point.report, point.error) for point in points], args.tolerance)
+    _write_csv(args.out, [name for name, _ in grid] + CSV_COLUMNS, rows)
+    return EXIT_OK if passed else EXIT_FAILED
 
 
 def _cmd_verify(args) -> int:

@@ -148,18 +148,32 @@ class Scenario:
 
     @cached_property
     def tdma_nodes(self) -> tuple[NodeSpec, ...]:
-        return tuple(n for n in sorted(self.nodes, key=lambda n: n.id)
-                     if isinstance(n.role, TdmaRole))
+        return self._by_role()[0]
 
     @cached_property
     def aloha_nodes(self) -> tuple[NodeSpec, ...]:
-        return tuple(n for n in sorted(self.nodes, key=lambda n: n.id)
-                     if isinstance(n.role, AlohaRole))
+        return self._by_role()[1]
 
     @cached_property
     def model_aware_nodes(self) -> tuple[NodeSpec, ...]:
-        return tuple(n for n in sorted(self.nodes, key=lambda n: n.id)
-                     if isinstance(n.role, ModelAwareRole))
+        return self._by_role()[2]
+
+    def _by_role(self) -> tuple[tuple[NodeSpec, ...], ...]:
+        """The TDMA, ALOHA and model-aware nodes, each by id, from one sort;
+        all three are cached, so whichever is asked for first sorts for all."""
+        tdma, aloha, aware = [], [], []
+        for n in sorted(self.nodes, key=lambda n: n.id):
+            role = n.role
+            if isinstance(role, TdmaRole):
+                tdma.append(n)
+            elif isinstance(role, AlohaRole):
+                aloha.append(n)
+            elif isinstance(role, ModelAwareRole):
+                aware.append(n)
+        roles = tuple(tdma), tuple(aloha), tuple(aware)
+        self.__dict__.update(tdma_nodes=roles[0], aloha_nodes=roles[1],
+                             model_aware_nodes=roles[2])
+        return roles
 
     @property
     def num_tdma(self) -> int:

@@ -53,8 +53,13 @@ set of ALOHA generators. `_count_range` then counts every lane of a range in
 one pass per block: each seed's generator of a node draws once, one broadcast
 comparison at each lane's own q turns the draws into the sends of all that
 seed's lanes, and the packing, the planes, the counts and the reduction run
-once on arrays with a leading lane axis. Each report gets its own plan's
-oracle.
+once on arrays with a leading lane axis. The lanes of a plan, and the plans
+of a layout, share one profile object, so a range stacks each distinct
+profile once and gives each lane its rows by index into that stack. After
+the ranges, every lane's successes per node come from one lanes x nodes
+array: the ranges' counts, each gateway turn moved to its member by the
+decisions before the range, and one `tolist`. Each report gets its own
+plan's oracle.
 
 `sweep` keeps its last valid plan: a point whose parameters other than `seed`
 equal those that built it checks only its seed (`seed_errors`, the rule
@@ -79,8 +84,9 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+import operator
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -192,8 +198,7 @@ class _BlockProfile:
         return cls(count, packed, k)
 
 
-@dataclass(frozen=True)
-class _Plan:
+class _Plan(NamedTuple):
     """What a valid scenario fixes whatever its seed, oracle included: all of a run
     but the draws and what they decide. Ranges read it and never write it."""
 
@@ -263,7 +268,8 @@ def _plan(scenario: Scenario, layouts: _Layouts | None = None) -> _Plan:
     errors = validate_scenario(scenario)
     if errors:
         raise ValidationError(errors)
-    start, horizon = scenario.warmup_slots, scenario.horizon
+    # Python ints, so that every count of a report is one, whatever integers the scenario holds
+    start, horizon = operator.index(scenario.warmup_slots), operator.index(scenario.horizon)
     tdma = scenario.tdma_nodes
     group = scenario.model_aware_nodes   # its members share one delay
     members = tuple(n.id for n in group)
@@ -292,15 +298,21 @@ def _count_range(plans: Sequence[_Plan], begin: int, end: int, aloha: Sequence) 
     `begin`, draw once for all of them. The range makes its own buffers, for
     blocks of up to min(block, horizon) AP slots: one node's draws, each
     lane's send flags, and each lane's packed rows of sends, a profile's
-    rows after the ALOHA nodes'. Returns each lane's (collisions, successes
-    per row, decisions): the rows are the ALOHA nodes, the TDMA nodes, then
-    turn j of the range's decisions.
+    rows after the ALOHA nodes'. Each distinct profile is stacked once, and
+    each lane's rows are read from that stack by its index. Returns each
+    lane's (collisions, successes per row, decisions): the rows are the
+    ALOHA nodes, the TDMA nodes, then turn j of the range's decisions.
     """
     plan = plans[0]
     start, block, period = plan.start, plan.block, plan.period
-    k, profiles = len(plan.members), [lane.profile for lane in plans]
-    # every lane's profile rows, stacked once per profile and copied in at each block
-    fixed_rows = np.stack([profile.packed for profile in profiles])
+    k = len(plan.members)
+    # each distinct profile, with the first lane of it, and each lane's index among them
+    firsts = {}
+    at = [firsts.setdefault(lane.profile, (len(firsts), lane))[0] for lane in plans]
+    profiles, owners = list(firsts), [lane for _, lane in firsts.values()]
+    # every lane's profile rows, from one stack of the distinct profiles, copied in at each block
+    fixed_rows = np.stack([profile.packed for profile in profiles])[at]
+    decisions = [profile.decided for profile in profiles]
     # each lane's q of each ALOHA node
     probs = np.array([[q for _, _, q in lane.aloha] for lane in plans])
     first_fixed = len(plan.aloha)
@@ -312,15 +324,16 @@ def _count_range(plans: Sequence[_Plan], begin: int, end: int, aloha: Sequence) 
     words = packed.view(np.uint64)
     # the rows of sends, the plane of exactly one sender, and the rows counted
     sent_words, single, counted = words[:, :-2], words[:, -1:], words[:, :-1]
-    totals = [[0] * (fixed + k) for _ in plans]
-    collisions, decided, width = [0] * len(plans), [0] * len(plans), 0
+    totals = collisions = None   # the first block's counts
+    decided, width = [0] * len(plans), 0
     for first in range(begin, end, block):
         n = min(block, end - first)
         # the plans' profiles serve every full block unless the period is longer than a block
         if first > start and period > block or n != profiles[0].count:
             profiles = [_BlockProfile.build(lane.tdma, lane.transmit, k, first, n)
-                        for lane in plans]
-            fixed_rows = np.stack([profile.packed for profile in profiles])
+                        for lane in owners]
+            fixed_rows = np.stack([profile.packed for profile in profiles])[at]
+            decisions = [profile.decided for profile in profiles]
         if n != width:   # the buffers' views for blocks of n slots
             width, size = n, -(-n // 8)
             if first > begin:
@@ -345,14 +358,17 @@ def _count_range(plans: Sequence[_Plan], begin: int, end: int, aloha: Sequence) 
         # a sender's successes are its sends in those slots
         np.bitwise_and(sent_words, single, out=sent_words)
         won = np.add.reduce(np.bitwise_count(counted), axis=2, dtype=np.uint32).tolist()
-        for lane, profile in enumerate(profiles):
-            counts, lane_totals = won[lane], totals[lane]
-            collisions[lane] += counts[-1]
-            for row in range(fixed):
-                lane_totals[row] += counts[row]
-            for turn in range(k):
-                lane_totals[fixed + (decided[lane] + turn) % k] += counts[fixed + turn]
-            decided[lane] += profile.decided
+        if totals is None:   # no decision came before, so turn j is relative turn j
+            collisions, totals = [counts.pop() for counts in won], won
+        else:
+            for lane, counts in enumerate(won):
+                lane_totals = totals[lane]
+                collisions[lane] += counts[-1]
+                for row in range(fixed):
+                    lane_totals[row] += counts[row]
+                for turn in range(k):
+                    lane_totals[fixed + (decided[lane] + turn) % k] += counts[fixed + turn]
+        decided = [before + decisions[profile] for before, profile in zip(decided, at)]
     return list(zip(collisions, totals, decided))
 
 
@@ -374,7 +390,10 @@ def _simulate(lanes: Sequence[tuple[_Plan, int]]) -> list[SimReport]:
     `sweep` keeps within one block. Each range seeds the ALOHA generators
     through `node_rng` once per run of lanes of equal seed, for all the lanes
     of that run, so a caller that groups its lanes by seed seeds each seed
-    once. The reports come back in lane order.
+    once. After the ranges, the lanes' successes per node are summed in one
+    lanes x nodes int64 array, each range's gateway turns moved to their
+    members, and read off with one `tolist`, so every count is a Python int.
+    The reports come back in lane order.
     """
     plans = [plan for plan, _ in lanes]
     seeds = [(seed, len(list(same))) for seed, same in itertools.groupby(s for _, s in lanes)]
@@ -391,8 +410,9 @@ def _simulate(lanes: Sequence[tuple[_Plan, int]]) -> list[SimReport]:
             generators = []
             for node_id, delay, _ in plan.aloha:
                 rng = node_rng(seed, node_id)
-                # arrival at AP slot a came from send slot a - d; start >= max delay
-                rng.bit_generator.advance(begin - delay)
+                # arrival at AP slot a came from send slot a - d; start >= max delay,
+                # and `advance` takes no numpy integer, which a delay may be
+                rng.bit_generator.advance(int(begin - delay))
                 generators.append(rng)
             aloha.append((lo, lo + count, generators))
             lo += count
@@ -408,26 +428,31 @@ def _simulate(lanes: Sequence[tuple[_Plan, int]]) -> list[SimReport]:
         counted += [job.result() for job in jobs]
 
     ids = [node_id for node_id, _, _ in plan.aloha] + [node.id for node in plan.tdma]
-    k = len(members)
+    k, rows = len(members), len(ids)
+    # each lane's successes per row, the turn rows turned into members, over all ranges
+    counts, collisions = 0, [0] * len(plans)
+    # transmit decision i from send slot 0 on goes to members[i mod k], and `sent`
+    # of them came before each range: reduced as a Python int, as a delay may be int64
+    sent = [int(plan.sent) % k for plan in plans] if k > 1 else None
+    each = np.arange(len(plans))[:, None]
+    for lost, totals, decided in (zip(*per_lane) for per_lane in counted):
+        table = np.array(totals, dtype=np.int64)
+        if k > 1:   # member m takes the range's turn (m - sent) mod k
+            table[:, rows:] = table[each, rows + (np.arange(k) - np.array(sent)[:, None]) % k]
+            sent = [(before + count) % k for before, count in zip(sent, decided)]
+        counts = counts + table
+        collisions = [total + count for total, count in zip(collisions, lost)]
+    # by node id, which are dense: the column of node i is the row of the i-th smallest id
+    columns = ids + list(members)
+    successes = counts[:, sorted(range(len(columns)), key=columns.__getitem__)]
     reports = []
-    for lane, plan in enumerate(plans):
-        collisions, sent = 0, plan.sent
-        per_node = dict.fromkeys(range(len(ids) + k), 0)   # the ids are dense
-        for lost, totals, decided in (counts[lane] for counts in counted):
-            collisions += lost
-            for node_id, count in zip(ids, totals):
-                per_node[node_id] += count
-            # transmit decision i from send slot 0 on goes to members[i mod k],
-            # and `sent` of them came before this range
-            for turn, count in enumerate(totals[len(ids):]):
-                per_node[members[(sent + turn) % k]] += count
-            sent += decided
-        successes = sum(per_node.values())   # every success slot has exactly one sender
-        empirical, oracle = successes / horizon, plan.oracle
+    for plan, per_node, success, collision in zip(plans, successes.tolist(),
+                                                  successes.sum(axis=1).tolist(), collisions):
+        empirical, oracle = success / horizon, plan.oracle
         deviation = None if oracle is None else abs(empirical - oracle.optimal_throughput)
         reports.append(SimReport(
-            measured_slots=horizon, successes=successes, collisions=collisions,
-            idle=horizon - successes - collisions, per_node_successes=per_node,
+            measured_slots=horizon, successes=success, collisions=collision,
+            idle=horizon - success - collision, per_node_successes=dict(enumerate(per_node)),
             empirical_throughput=empirical, warmup_slots=start,
             tdma_cross_collisions=plan.cross, oracle=oracle, deviation=deviation))
     return reports
@@ -465,14 +490,15 @@ def _is_whole(value) -> bool:
 
 
 def _apply_parameter(scenario: Scenario, name: str, value) -> Scenario:
+    fields = {"horizon": scenario.horizon, "warmup": scenario.warmup, "seed": scenario.seed}
+    nodes = scenario.nodes
     if name == "q":
         if not scenario.aloha_nodes:
             raise ValidationError("sweep parameter 'q' needs at least one ALOHA node")
-        nodes = tuple(replace(n, role=AlohaRole(float(value)))
-                      if isinstance(n.role, AlohaRole) else n
-                      for n in scenario.nodes)
-        return replace(scenario, nodes=nodes)
-    if name == "p":
+        role = AlohaRole(float(value))
+        nodes = tuple(NodeSpec(n.id, n.delay, role) if isinstance(n.role, AlohaRole) else n
+                      for n in nodes)
+    elif name == "p":
         tdma = scenario.tdma_nodes
         if len(tdma) != 1:
             raise ValidationError("sweep parameter 'p' needs exactly one TDMA node")
@@ -481,12 +507,12 @@ def _apply_parameter(scenario: Scenario, name: str, value) -> Scenario:
         if not 0 <= used <= frame or abs(used - round(used)) > 1e-9:
             raise ValidationError(f"p={value} is not a whole number of slots "
                                   f"in a frame of length {frame}")
-        schedule = TdmaSchedule(frame, frozenset(range(int(round(used)))))
-        nodes = tuple(replace(n, role=TdmaRole(schedule)) if n.id == tdma[0].id else n
-                      for n in scenario.nodes)
-        return replace(scenario, nodes=nodes)
-    # sweep has already rejected every other name and sets the seed itself: horizon or warmup
-    return replace(scenario, **{name: int(value)})
+        role = TdmaRole(TdmaSchedule(frame, frozenset(range(int(round(used))))))
+        nodes = tuple(NodeSpec(n.id, n.delay, role) if n.id == tdma[0].id else n
+                      for n in nodes)
+    else:   # sweep has already rejected every other name: horizon, warmup or seed
+        fields[name] = int(value)
+    return Scenario(nodes, **fields)
 
 
 def sweep(base: Scenario, grid: Sequence[tuple[str, Sequence]]) -> list[SweepPoint]:
@@ -530,13 +556,15 @@ def sweep(base: Scenario, grid: Sequence[tuple[str, Sequence]]) -> list[SweepPoi
     fixed = [i for i, name in enumerate(names) if name != "seed"]
     # chain[j] is base with the first j values of `applied` applied, in grid order
     chain, applied = [base], []
-    plan = key = None   # the last valid plan and the values but the seed it was built for
+    # the last valid plan, the values but the seed it was built for, the batch
+    # of its window and the lanes that fill it
+    plan = key = batch = lanes = None
     layouts = _Layouts()
     points = []
     pending = {}   # (start, horizon): (index, params, plan, seed) of its points not counted yet
 
     def count(batch):
-        batch.sort(key=lambda lane: lane[3])   # stable: each seed's lanes stand together
+        batch.sort(key=operator.itemgetter(3))   # stable: each seed's lanes stand together
         reports = _simulate([(plan, seed) for _, _, plan, seed in batch])
         for (index, params, _, seed), report in zip(batch, reports):
             points[index] = SweepPoint(index, params, seed, report, None)
@@ -555,7 +583,13 @@ def sweep(base: Scenario, grid: Sequence[tuple[str, Sequence]]) -> list[SweepPoi
                 for i, value in zip(fixed[same:], values[same:]):
                     chain.append(_apply_parameter(chain[-1], names[i], value))
                     applied.append(value)
-                plan, key = _plan(replace(chain[-1], seed=seed), layouts), values
+                last = chain[-1]
+                plan = _plan(Scenario(last.nodes, last.horizon, last.warmup, seed), layouts)
+                key = values
+                # a batch's lanes share one window (and, as `p` keeps the frame, one
+                # block), and all of them take no more slots than one block
+                batch = pending.setdefault((plan.start, plan.horizon), [])
+                lanes = BLOCK_SLOTS // min(plan.block, plan.horizon)
             else:
                 errors = seed_errors(seed)
                 if errors:
@@ -563,12 +597,9 @@ def sweep(base: Scenario, grid: Sequence[tuple[str, Sequence]]) -> list[SweepPoi
         except (ValidationError, ContractViolation) as exc:
             points.append(SweepPoint(index, params, seed, None, str(exc)))
             continue
-        points.append(None)   # counted with its window's batch
-        # a batch's lanes share one window (and, as `p` keeps the frame, one
-        # block), and all of them take no more slots than one block
-        batch = pending.setdefault((plan.start, plan.horizon), [])
+        points.append(None)   # counted with its plan's batch
         batch.append((index, params, plan, seed))
-        if len(batch) >= BLOCK_SLOTS // min(plan.block, plan.horizon):
+        if len(batch) >= lanes:
             count(batch)
     for batch in pending.values():
         if batch:

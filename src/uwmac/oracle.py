@@ -31,7 +31,7 @@ def _check_probs(q: Sequence[float]) -> None:
 def prob_all_silent(q: Sequence[float]) -> float:
     """P(no ALOHA node transmits) = prod_i (1 - q_i). Empty input gives 1."""
     _check_probs(q)
-    return math.prod((1.0 - qi for qi in q), start=1.0)
+    return _all_silent(q)
 
 
 def success_prob_exactly_one(q: Sequence[float]) -> float:
@@ -40,6 +40,14 @@ def success_prob_exactly_one(q: Sequence[float]) -> float:
     Empty input gives 0 (no node can succeed).
     """
     _check_probs(q)
+    return _exactly_one(q)
+
+
+def _all_silent(q: Sequence[float]) -> float:
+    return math.prod((1.0 - qi for qi in q), start=1.0)
+
+
+def _exactly_one(q: Sequence[float]) -> float:
     total = 0.0
     for i, qi in enumerate(q):
         term = qi
@@ -115,8 +123,8 @@ def optimal_mixed(p: float, q: Sequence[float], blocked: float = 0.0) -> OracleR
     """
     for name, value in (("p", p), ("blocked", blocked), ("p + blocked", p + blocked)):
         _check_unit(name, value)
-    silent = prob_all_silent(q)
-    exactly_one = success_prob_exactly_one(q)
+    _check_probs(q)
+    silent, exactly_one = _all_silent(q), _exactly_one(q)
     free = (1.0 - p) - blocked
     z = free * (silent - exactly_one) + 0.0   # +0.0 normalises -0.0 when free == 0
     if z < 0:

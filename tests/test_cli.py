@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from uwmac import cli
 from uwmac.cli import CSV_COLUMNS, main, parse_scenario
+from uwmac.engine import default_tolerance, sweep
 
 ROOT = Path(__file__).resolve().parent.parent
 # stdout and exit code of run and verify on every demos/scenarios file, and
@@ -390,11 +391,60 @@ def test_csv_cells_are_rendered_by_the_cell_rule(tmp_path):
               np.bool_(True), 'error: bad "p", 0.3']
     names = [f"c{i}" for i in range(len(values))]
     out = tmp_path / "cells.csv"
-    cli._write_csv(str(out), names, [dict(zip(names, values)), {}])
+    cli._write_csv(str(out), names, [values, [None] * len(names)])
     expected = io.StringIO()
     writer = csv.writer(expected, lineterminator="\n")
     writer.writerows([names, [_fmt(value) for value in values], [""] * len(names)])
     assert out.read_bytes() == expected.getvalue().encode()
+
+
+def _reference_row(params, scenario_id, seed, report, tolerance, error):
+    """A CSV row by the rule that rows keep: a dict by column, absent cells
+    empty; its tolerance defaults to four sigma."""
+    row = {"scenario_id": scenario_id, "seed": seed, "status": f"error: {error}"}
+    if report is not None:
+        row.update(measured_slots=report.measured_slots, successes=report.successes,
+                   collisions=report.collisions, idle=report.idle,
+                   empirical=report.empirical_throughput,
+                   tdma_cross_collisions=report.tdma_cross_collisions, status="oracle-na")
+    if report is not None and report.oracle is not None:
+        if tolerance is None:
+            tolerance = default_tolerance(report.oracle.optimal_throughput,
+                                          report.measured_slots)
+        row.update(oracle=report.oracle.optimal_throughput,
+                   branch=report.oracle.chosen_branch.value, z=report.oracle.z_value,
+                   deviation=report.deviation, tolerance=tolerance,
+                   status="ok", **{"pass": report.deviation <= tolerance})
+    row.update(params)
+    return row
+
+
+@pytest.mark.parametrize("tolerance", [None, 0.02])
+@pytest.mark.parametrize("doc", [SINGLE_ALOHA, {**SINGLE_ALOHA, "nodes": [
+    *SINGLE_ALOHA["nodes"],
+    {"id": 2, "delay_slots": 2, "role": {"tdma": {"frame_length": 4, "assigned": [0]}}}]},
+    {**SINGLE_ALOHA, "nodes": [{"id": 0, "delay_slots": 1, "role": {"aloha": {"q": 0.2}}}]}])
+def test_sweep_rows_are_each_points_report_by_the_cell_rule(tmp_path, doc, tolerance):
+    # seeds innermost, so each run of a plan's points shares its oracle's
+    # cells; every row is still its own point's, error and oracle-na rows too
+    path = _write(tmp_path, "doc.json", doc)
+    specs = ["q=0.2,0.7,1.5", "horizon=300,301", "seed=1,2,-1"]
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--scenario", path, "--out", str(out)]
+    argv += [] if tolerance is None else ["--tolerance", repr(tolerance)]
+    code = main(argv + [arg for spec in specs for arg in ("--sweep", spec)])
+    scenario, _ = cli.load_scenario(path)
+    grid, _ = cli._parse_grid(specs)
+    rows = [_reference_row(point.params, f"doc#{point.index}", point.seed, point.report,
+                           tolerance, point.error) for point in sweep(scenario, grid)]
+    names = ["q", "horizon", "seed"] + CSV_COLUMNS
+    expected = io.StringIO()
+    csv.writer(expected, lineterminator="\n").writerows(
+        [names] + [[_fmt(row.get(name)) for name in names] for row in rows])
+    assert out.read_bytes() == expected.getvalue().encode()
+    assert code == (1 if any(row.get("pass") is False for row in rows) else 0)
+    assert {row["status"] for row in rows} >= {"error: ALOHA transmit probability must "
+                                               "lie in [0, 1], got 1.5"}
 
 
 def test_sweep_q_grid(tmp_path):

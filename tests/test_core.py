@@ -3,6 +3,7 @@ import pytest
 
 from reference_model import (ArrivalLedger, Outcome, SlotOutcome,
                              register_transmission, resolve_slot)
+from uwmac import core
 from uwmac.core import (AlohaRole, ContractViolation, Delay, ModelAwareRole,
                         NodeSpec, Scenario, TdmaRole, TdmaSchedule,
                         ValidationError, delay_from_distance, seed_errors,
@@ -206,3 +207,27 @@ def test_scenario_derived_counts():
 def test_scenario_explicit_warmup_wins():
     scn = Scenario(nodes=(_ma(0, 2),), horizon=10, warmup=9)
     assert scn.warmup_slots == 9
+
+
+@pytest.mark.parametrize("first", ["tdma_nodes", "aloha_nodes", "model_aware_nodes"])
+def test_scenario_role_tuples_come_from_one_sort(monkeypatch, first):
+    # nodes out of id order: whichever role tuple is asked for first sorts the
+    # nodes once for all three, each in id order, and nodes of no role are in none
+    tdma = TdmaRole(TdmaSchedule(5, frozenset({0})))
+    nodes = (NodeSpec(4, Delay(0), AlohaRole(0.6)), NodeSpec(1, Delay(4), tdma),
+             NodeSpec(3, Delay(1), ModelAwareRole()), NodeSpec(0, Delay(2), AlohaRole(0.3)),
+             NodeSpec(5, Delay(0), None), NodeSpec(2, Delay(1), ModelAwareRole()))
+    scn = Scenario(nodes=nodes, horizon=10)
+    sorts = []
+
+    def counted(*args, **kwargs):
+        sorts.append(1)
+        return sorted(*args, **kwargs)
+
+    monkeypatch.setattr(core, "sorted", counted, raising=False)
+    getattr(scn, first)
+    assert len(sorts) == 1
+    assert [n.id for n in scn.tdma_nodes] == [1]
+    assert [n.id for n in scn.aloha_nodes] == [0, 4]
+    assert [n.id for n in scn.model_aware_nodes] == [2, 3]
+    assert len(sorts) == 1

@@ -1134,3 +1134,84 @@ def test_monte_carlo_consistency_four_sigma():
         report = run(scenario)
         bound = 4.0 * np.sqrt(expected * (1.0 - expected) / report.measured_slots)
         assert abs(report.empirical_throughput - expected) <= bound
+
+
+def gateway_reports(monkeypatch):
+    """Reports whose per-node successes come from the engine's lanes x nodes
+    array: a 3-member gateway's run of three blocks at WORKERS 1 and 2, also
+    with int64 warm-up, horizon and delays, and each point of a gateway sweep
+    over two warm-ups and three p, one batch per warm-up, whose lanes start
+    the round robin at different turns."""
+    base = Scenario((_ma(0, 1), _ma(1, 1), _ma(2, 1), _tdma(3, 4, 5, {0}), _tdma(4, 0, 5, {2}),
+                     _aloha(5, 2, 0.05)), horizon=150_000, warmup=31, seed=4)
+    wide = Scenario(tuple(dataclasses.replace(n, delay=Delay(np.int64(n.delay.slots)))
+                          for n in base.nodes),
+                    horizon=np.int64(150_000), warmup=np.int64(31), seed=4)
+    reports = []
+    for workers in (1, 2):
+        monkeypatch.setattr(engine, "WORKERS", workers)
+        reports += [run(base), run(wide)]
+    assert reports[1:] == reports[:1] * 3
+    swept = Scenario((_ma(0, 1), _ma(1, 1), _ma(2, 1), _tdma(3, 4, 5, {0}), _aloha(4, 2, 0.05),
+                      _aloha(5, 0, 0.1)), horizon=200, seed=4)
+    points = sweep(swept, [("warmup", [10, 31]), ("p", [0.2, 0.4, 0.6]), ("seed", [1, 2])])
+    return reports + [point.report for point in points]
+
+
+def test_per_node_successes_are_python_ints_in_id_order(monkeypatch):
+    batches = []
+    simulate = engine._simulate
+
+    def recorded(lanes):
+        batches.append({plan.sent % 3 for plan, _ in lanes})
+        return simulate(lanes)
+
+    monkeypatch.setattr(engine, "_simulate", recorded)
+    reports = gateway_reports(monkeypatch)
+    assert len(batches) == 6 and all(len(turns) > 1 for turns in batches[-2:])
+    for report in reports:
+        per_node = report.per_node_successes
+        assert list(per_node) == list(range(6))
+        assert {type(count) for count in per_node.values()} == {int}
+        assert sum(per_node.values()) == report.successes
+        assert {type(report.successes), type(report.collisions), type(report.idle)} == {int}
+        assert min(per_node[m] for m in range(3)) > 0
+
+
+@pytest.mark.parametrize("name, value", [
+    ("q", 0.3), ("q", np.float64(0.7)), ("q", 1), ("p", 0.5), ("p", np.float64(0.25)),
+    ("horizon", 17), ("horizon", np.int64(9)), ("warmup", 4.0), ("warmup", np.int64(6))])
+def test_a_swept_scenario_equals_its_replaced_dataclass(name, value):
+    # _apply_parameter builds nodes and scenarios directly; what it builds is
+    # the scenario that dataclasses.replace gives, role tuples included
+    base = SWEEP_BASES["one_tdma"]
+    if name == "q":
+        role = AlohaRole(float(value))
+        expected = dataclasses.replace(base, nodes=tuple(
+            dataclasses.replace(n, role=role) if isinstance(n.role, AlohaRole) else n
+            for n in base.nodes))
+    elif name == "p":
+        frame = base.tdma_nodes[0].role.schedule.frame_length
+        role = TdmaRole(TdmaSchedule(frame, frozenset(range(round(value * frame)))))
+        expected = dataclasses.replace(base, nodes=tuple(
+            dataclasses.replace(n, role=role) if isinstance(n.role, TdmaRole) else n
+            for n in base.nodes))
+    else:
+        expected = dataclasses.replace(base, **{name: int(value)})
+    applied = engine._apply_parameter(base, name, value)
+    assert applied == expected and hash(applied) == hash(expected)
+    for field in ("horizon", "warmup", "seed"):
+        assert type(getattr(applied, field)) is type(getattr(expected, field))
+    for roles in ("aloha_nodes", "tdma_nodes", "model_aware_nodes", "aloha_probs"):
+        assert getattr(applied, roles) == getattr(expected, roles)
+
+
+@pytest.mark.parametrize("name, value, message", [
+    ("q", 1.7, "ALOHA transmit probability must lie in [0, 1], got 1.7"),
+    ("q", -0.1, "ALOHA transmit probability must lie in [0, 1], got -0.1"),
+    ("p", 0.3, "p=0.3 is not a whole number of slots in a frame of length 4"),
+    ("p", 1.25, "p=1.25 is not a whole number of slots in a frame of length 4")])
+def test_a_bad_swept_value_keeps_its_message(name, value, message):
+    with pytest.raises(ValidationError) as caught:
+        engine._apply_parameter(SWEEP_BASES["one_tdma"], name, value)
+    assert str(caught.value) == message
