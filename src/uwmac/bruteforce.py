@@ -109,11 +109,7 @@ def exact_expected_throughput(seq: ActionSequence, scenario: Scenario) -> float:
     slot warmup + i. Works for a single model-aware node or a strict-mode
     gateway group (one decision stream either way).
     """
-    return _expected_throughput(seq, _window(scenario))
-
-
-def _expected_throughput(seq: ActionSequence, window: _Window) -> float:
-    """`exact_expected_throughput` over the window of the sequence's scenario."""
+    window = _window(scenario)
     horizon = len(window.classes)
     if len(seq) != horizon:
         raise ContractViolation(f"sequence length {len(seq)} must equal the "
@@ -152,18 +148,11 @@ def enumerate_optimal(scenario: Scenario) -> tuple[ActionSequence, float]:
     Ties break toward the lexicographically largest sequence (TRANSMIT before
     WAIT), matching the policy module's z = 0 rule.
     """
-    _check_enumerable(scenario.horizon)
-    return _enumerate(_window(scenario))
-
-
-def _check_enumerable(h: int) -> None:
+    h = scenario.horizon
     if h > ENUMERATION_HORIZON_LIMIT:
         raise HorizonLimitError(f"horizon {h} exceeds the enumeration limit "
                                 f"{ENUMERATION_HORIZON_LIMIT}")
-
-
-def _enumerate(window: _Window) -> tuple[ActionSequence, float]:
-    """`enumerate_optimal` over a window no longer than the limit."""
+    window = _window(scenario)
     return _optimum([window.wait[c] for c in window.classes],
                     [window.transmit[c] for c in window.classes])
 
@@ -208,13 +197,13 @@ def certify_policy(scenario: Scenario) -> Certificate:
     equal the closed-form optimum at the window's fractions of AP slots with
     one and with several TDMA arrivals."""
     h = scenario.horizon
-    _check_enumerable(h)
-    # one window for the enumeration and the policy's value
-    window = _window(scenario)
-    best_seq, best_value = _enumerate(window)
-    policy_value = _expected_throughput(policy_sequence(scenario), window)
-    fraction = window.classes.count(1) / h
-    blocked = window.classes.count(2) / h
+    # the enumeration refuses a long horizon first, then builds the window
+    # that the policy's value and the classes below read from `_window`'s cache
+    best_seq, best_value = enumerate_optimal(scenario)
+    policy_value = exact_expected_throughput(policy_sequence(scenario), scenario)
+    classes = _window(scenario).classes
+    fraction = classes.count(1) / h
+    blocked = classes.count(2) / h
     oracle_value = optimal_mixed(fraction, scenario.aloha_probs, blocked).optimal_throughput
     return Certificate(h, best_seq, best_value, policy_value, oracle_value,
                        fraction, blocked, CERTIFICATE_TOLERANCE)

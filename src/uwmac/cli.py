@@ -20,7 +20,7 @@ from .bruteforce import (ENUMERATION_HORIZON_LIMIT, HorizonLimitError,
 from .core import (Action, AlohaRole, ContractViolation, Delay, ModelAwareRole,
                    NodeSpec, Scenario, TdmaRole, TdmaSchedule, ValidationError,
                    delay_from_distance, is_real, validate_scenario)
-from .engine import default_tolerance, run, sweep
+from .engine import SWEEP_PARAMETERS, default_tolerance, run, sweep
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -247,7 +247,9 @@ def _load_for_simulation(args) -> tuple[Scenario | None, list[str]]:
     if args.out is not None:
         out = Path(args.out)
         if not out.parent.is_dir():
-            errors = [*errors, f"--out: directory {str(out.parent)!r} does not exist"]
+            errors = [*errors, f"--out: {str(out.parent)!r} is not a directory"
+                      if out.parent.exists()
+                      else f"--out: directory {str(out.parent)!r} does not exist"]
         elif out.is_dir():
             errors = [*errors, f"--out: {args.out!r} is a directory, not a file"]
     return scenario, errors
@@ -295,7 +297,7 @@ def _parse_grid(specs: list[str]) -> tuple[list[tuple[str, list]], list[str]]:
             errors.append(f"--sweep {spec!r}: expected name=v1,v2,...")
             continue
         values = []
-        whole = name in ("horizon", "warmup", "seed")
+        whole = SWEEP_PARAMETERS.get(name) == "whole"
         for token in rest.split(","):
             token = token.strip()
             try:
@@ -382,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--sweep", action="append", required=True,
                          metavar="name=v1,v2,...",
                          help="parameter grid; repeat for a cross product "
-                              "(names: q, p, horizon, warmup, seed)")
+                              f"(names: {', '.join(SWEEP_PARAMETERS)})")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_verify = sub.add_parser("verify",

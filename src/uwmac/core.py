@@ -74,13 +74,43 @@ class TdmaSchedule:
         return len(self.assigned) / self.frame_length
 
     @cached_property
-    def sorted_offsets(self) -> np.ndarray:
+    def _offsets(self) -> np.ndarray:
         """The assigned offsets as a sorted read-only array, built on first use:
         int64, or Python ints for a frame too long for int64."""
         dtype = np.int64 if self.frame_length <= np.iinfo(np.int64).max else object
         offsets = np.sort(np.fromiter(self.assigned, dtype, len(self.assigned)))
         offsets.flags.writeable = False
         return offsets
+
+    def sends(self, first: int, count: int) -> np.ndarray:
+        """Boolean mask over slots first .. first + count - 1: True where the
+        node sends, that is where the slot is >= 0 and its frame offset is
+        assigned.
+
+        The first min(count, frame) slots are searched in the sorted offsets,
+        O(log offsets + offsets that land there), and a frame shorter than the
+        mask is then copied onto itself in doubling runs, O(count); so neither
+        the frame length nor the offsets outside the mask cost anything.
+        """
+        frame, offsets = self.frame_length, self._offsets
+        start = first % frame
+        mask = np.zeros(count, dtype=bool)
+        # frame offsets start, start + 1, ..., wrapping past the frame's end at
+        # most once because head <= frame
+        head = min(count, frame)
+        end = start + head
+        lo, hi, wrap = offsets.searchsorted((start, min(end, frame), max(end - frame, 0))).tolist()
+        if hi > lo:
+            mask[(offsets[lo:hi] - start).astype(np.intp, copy=False)] = True
+        if wrap:
+            mask[(offsets[:wrap] + (frame - start)).astype(np.intp, copy=False)] = True
+        filled = head
+        while filled < count:
+            step = min(filled, count - filled)
+            mask[filled:filled + step] = mask[:step]
+            filled += step
+        mask[:max(0, -first)] = False   # no send before slot 0
+        return mask
 
 
 @dataclass(frozen=True)

@@ -95,7 +95,7 @@ from .core import (Action, AlohaRole, ContractViolation, NodeId, NodeSpec, Scena
                    TdmaRole, TdmaSchedule, ValidationError, is_real, seed_errors,
                    validate_scenario)
 from .oracle import OracleResult, optimal_mixed
-from .policies import build_model_aware_policy, tdma_slot_mask
+from .policies import build_model_aware_policy
 
 
 BLOCK_SLOTS = 1 << 16
@@ -177,9 +177,7 @@ class _BlockProfile:
         size = -(-count // 8)
         twos, ones = packed[-2, :size], packed[-1, :size]
         for row, node in enumerate(tdma):
-            arrivals = tdma_slot_mask(node.role.schedule, first - node.delay.slots, count)
-            arrivals[:max(0, node.delay.slots - first)] = False   # heard from AP slot delay on
-            sends = np.packbits(arrivals)
+            sends = np.packbits(node.role.schedule.sends(first - node.delay.slots, count))
             packed[row, :size] = sends
             # the sender count's planes saturate at two
             twos |= ones & sends
@@ -465,7 +463,9 @@ def default_tolerance(optimal_throughput: float, measured_slots: int) -> float:
     return 4.0 * math.sqrt(t * (1.0 - t) / measured_slots) + 1e-9
 
 
-SWEEP_PARAMETERS = ("q", "p", "horizon", "warmup", "seed")
+# each sweep parameter, by the kind of number it takes
+SWEEP_PARAMETERS = {"q": "real", "p": "real", "horizon": "whole", "warmup": "whole",
+                    "seed": "whole"}
 
 
 @dataclass(frozen=True)
@@ -548,7 +548,8 @@ def sweep(base: Scenario, grid: Sequence[tuple[str, Sequence]]) -> list[SweepPoi
         raise ValidationError([f"sweep parameter {name!r} given twice" for name in repeated])
     mistyped = []
     for name, values in grid:
-        kind, fits = ("real", is_real) if name in ("q", "p") else ("whole", _is_whole)
+        kind = SWEEP_PARAMETERS[name]
+        fits = is_real if kind == "real" else _is_whole
         mistyped += [f"sweep parameter {name!r} takes {kind} numbers, got {value!r}"
                      for value in values if not fits(value)]
     if mistyped:

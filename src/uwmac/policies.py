@@ -12,36 +12,6 @@ from .core import (Action, ContractViolation, Delay, Scenario, TdmaSchedule,
 from .oracle import Branch, OracleResult, optimal_mixed
 
 
-def tdma_slot_mask(schedule: TdmaSchedule, shift: int, count: int) -> np.ndarray:
-    """Boolean mask over `count` slots: mask[s] is True when the frame offset
-    (s + shift) mod frame_length is assigned.
-
-    The first min(count, frame) slots are searched in the sorted offsets,
-    O(log offsets + offsets that land there), and a frame shorter than the
-    mask is then copied onto itself in doubling runs, O(count); so neither the
-    frame length nor the offsets outside the mask cost anything.
-    """
-    frame = schedule.frame_length
-    offsets = schedule.sorted_offsets
-    first = shift % frame
-    mask = np.zeros(count, dtype=bool)
-    # frame offsets first, first + 1, ..., wrapping past the frame's end at
-    # most once because head <= frame
-    head = min(count, frame)
-    end = first + head
-    lo, hi, wrap = offsets.searchsorted((first, min(end, frame), max(end - frame, 0))).tolist()
-    if hi > lo:
-        mask[(offsets[lo:hi] - first).astype(np.intp, copy=False)] = True
-    if wrap:
-        mask[(offsets[:wrap] + (frame - first)).astype(np.intp, copy=False)] = True
-    filled = head
-    while filled < count:
-        step = min(filled, count - filled)
-        mask[filled:filled + step] = mask[:step]
-        filled += step
-    return mask
-
-
 def compute_forbidden_send_slots(tdma_nodes: Sequence[tuple[TdmaSchedule, Delay]],
                                  ma_delay: Delay, first_send: int,
                                  last_send: int) -> np.ndarray:
@@ -57,11 +27,9 @@ def compute_forbidden_send_slots(tdma_nodes: Sequence[tuple[TdmaSchedule, Delay]
     count = last_send - first_send + 1
     forbidden = np.zeros(count, dtype=bool)
     for schedule, delay in tdma_nodes:
-        shift = ma_delay.slots - delay.slots
-        hit = tdma_slot_mask(schedule, first_send + shift, count)
-        # s < 0 is no send slot, and s < -shift maps to a TDMA slot t < 0
-        hit[:max(0, -first_send, -shift - first_send)] = False
-        forbidden |= hit
+        # send slot s meets the TDMA send in slot s + ma_delay - delay
+        forbidden |= schedule.sends(first_send + ma_delay.slots - delay.slots, count)
+    forbidden[:max(0, -first_send)] = False   # s < 0 is no send slot
     return forbidden
 
 
@@ -112,9 +80,6 @@ class ModelAwarePolicy:
     def forbidden_send_slots(self) -> np.ndarray:
         """Sorted indices of the forbidden send slots."""
         return np.flatnonzero(self.forbidden_mask(0, self.send_slots))
-
-    def decide(self, t: int) -> Action:
-        return Action.TRANSMIT if self.transmit_mask(t, 1)[0] else Action.WAIT
 
 
 def build_model_aware_policy(scenario: Scenario) -> ModelAwarePolicy:

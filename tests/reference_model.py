@@ -1,10 +1,10 @@
 """Scalar per-slot reference model of the channel, for differential tests.
 
 Every send decision is taken one slot at a time and every arrival is
-recorded in a ledger; AP slots are then classified one by one. It shares no
-code with the vectorized engine in `uwmac.engine` apart from the policy's
-`decide(t)` and the per-node RNG streams, so the engine must match it count
-for count on any scenario.
+recorded in a ledger; AP slots are then classified one by one. It shares
+only `uwmac.core`'s types and the per-node RNG streams (`node_rng`) with the
+library: the model-aware stream's branch and its forbidden slots are worked
+out here, so the engine must match it count for count on any scenario.
 """
 from __future__ import annotations
 
@@ -17,7 +17,6 @@ import numpy as np
 from uwmac.core import (Action, AlohaRole, ContractViolation, Delay, NodeId,
                         Scenario, TdmaRole, TdmaSchedule, ValidationError)
 from uwmac.engine import node_rng
-from uwmac.policies import build_model_aware_policy
 
 
 class Outcome(Enum):
@@ -112,6 +111,28 @@ def aloha_decide(role: AlohaRole, rng: np.random.Generator) -> Action:
     return Action.TRANSMIT if rng.random() < role.q else Action.WAIT
 
 
+def stream_transmits(q: Iterable[float]) -> bool:
+    """The model-aware stream's branch: transmit iff P(no ALOHA node sends)
+    >= P(exactly one does), adding one node at a time."""
+    none, one = 1.0, 0.0
+    for qi in q:
+        none, one = none * (1.0 - qi), one * (1.0 - qi) + none * qi
+    return none >= one
+
+
+def stream_decide(scenario: Scenario, transmits: bool, t: int) -> Action:
+    """The stream's action in send slot t: TRANSMIT iff its branch transmits
+    and no TDMA packet sent from a slot u >= 0 reaches its AP slot t + d."""
+    if not transmits:
+        return Action.WAIT
+    arrival = t + scenario.model_aware_nodes[0].delay.slots
+    for node in scenario.tdma_nodes:
+        u = arrival - node.delay.slots
+        if u >= 0 and tdma_decide(node.role.schedule, u) is Action.TRANSMIT:
+            return Action.WAIT
+    return Action.TRANSMIT
+
+
 @dataclass(frozen=True)
 class GatewayRoster:
     """Round-robin rotation over the coordinated model-aware members."""
@@ -148,7 +169,7 @@ def reference_run(scenario: Scenario):
     ledger = ArrivalLedger()
     delays = {n.id: n.delay for n in scenario.nodes}
     members = tuple(n.id for n in scenario.model_aware_nodes)
-    policy = build_model_aware_policy(scenario) if members else None
+    transmits = stream_transmits(scenario.aloha_probs)
     roster = GatewayRoster(members) if members else None
     rngs = {n.id: node_rng(scenario.seed, n.id) for n in scenario.aloha_nodes}
 
@@ -160,8 +181,8 @@ def reference_run(scenario: Scenario):
             elif isinstance(node.role, AlohaRole):
                 if aloha_decide(node.role, rngs[node.id]) is Action.TRANSMIT:
                     register_transmission(ledger, node.id, t, node.delay)
-        if policy is not None:
-            sender, roster = gateway_select(roster, policy.decide(t))
+        if roster is not None:
+            sender, roster = gateway_select(roster, stream_decide(scenario, transmits, t))
             if sender is not None:
                 register_transmission(ledger, sender, t, delays[sender])
 

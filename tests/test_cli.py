@@ -194,19 +194,28 @@ def test_invalid_tolerance_is_an_input_error(tmp_path, capsys, command, toleranc
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
-@pytest.mark.parametrize("target", ["missing-dir/x.csv", "."], ids=["missing-dir", "a-dir"])
-def test_unwritable_out_is_an_input_error(tmp_path, capsys, monkeypatch, command, target):
+@pytest.mark.parametrize("target,problem", [
+    ("missing-dir/x.csv", "directory {parent!r} does not exist"),
+    (".", "{out!r} is a directory, not a file"),
+    ("afile/x.csv", "{parent!r} is not a directory"),
+], ids=["missing-dir", "a-dir", "a-file"])
+def test_unwritable_out_is_an_input_error(tmp_path, capsys, monkeypatch, command, target,
+                                          problem):
     def never(*args):
         raise AssertionError("simulated before rejecting --out")
     monkeypatch.setattr("uwmac.cli.run", never)
     monkeypatch.setattr("uwmac.cli.sweep", never)
     path = _write(tmp_path, "pure_tdma.json", PURE_TDMA)
-    argv = [command, "--scenario", path, "--out", str(tmp_path / target)]
+    (tmp_path / "afile").write_text("")
+    out = tmp_path / target
+    argv = [command, "--scenario", path, "--out", str(out)]
     if command == "sweep":
         argv += ["--sweep", "seed=1"]
     assert main(argv) == 2
-    assert capsys.readouterr().err.startswith("error: --out: ")
+    message = problem.format(out=str(out), parent=str(out.parent))
+    assert capsys.readouterr().err == f"error: --out: {message}\n"
     assert not (tmp_path / "missing-dir").exists()
+    assert (tmp_path / "afile").read_text() == ""
 
 
 @pytest.mark.parametrize("distance,speed,slot", [

@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from reference_model import (ArrivalLedger, Outcome, SlotOutcome,
                              register_transmission, resolve_slot)
@@ -231,3 +234,34 @@ def test_scenario_role_tuples_come_from_one_sort(monkeypatch, first):
     assert [n.id for n in scn.aloha_nodes] == [0, 4]
     assert [n.id for n in scn.model_aware_nodes] == [2, 3]
     assert len(sorts) == 1
+
+
+def test_sends_memory_does_not_grow_with_the_frame():
+    schedule = TdmaSchedule(10**7, frozenset({0}))
+    tracemalloc.start()
+    try:
+        mask = schedule.sends(3, 100)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert len(mask) == 100 and not mask.any()   # offset 0 first recurs at slot 10**7
+    # offsets whose first slot lies at or past the mask's end set nothing
+    schedule = TdmaSchedule(10**7, frozenset({0, 5, 99, 100, 5_000, 10**7 - 1}))
+    assert np.flatnonzero(schedule.sends(0, 100)).tolist() == [0, 5, 99]
+    assert np.flatnonzero(schedule.sends(3, 100)).tolist() == [2, 96, 97]
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(frame=st.integers(1, 40) | st.sampled_from([2 ** 63 - 1, 2 ** 70]),
+       data=st.data(), first=st.integers(-300, 300) | st.integers(-2 ** 72, 2 ** 72),
+       count=st.integers(0, 120))
+def test_sends_matches_definition(frame, data, first, count):
+    # frames shorter and longer than the mask, frames past int64, and masks
+    # that start before slot 0
+    near = st.integers(0, min(frame, 200) - 1) | st.integers(max(frame - 200, 0), frame - 1)
+    schedule = TdmaSchedule(frame, data.draw(st.frozensets(near, max_size=12)))
+    mask = schedule.sends(first, count)
+    assert mask.dtype == bool and len(mask) == count
+    assert mask.tolist() == [slot >= 0 and slot % frame in schedule.assigned
+                             for slot in range(first, first + count)]

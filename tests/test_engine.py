@@ -22,7 +22,7 @@ from uwmac.core import (Action, AlohaRole, ContractViolation, Delay, ModelAwareR
 from uwmac import engine, policies
 from uwmac.engine import default_tolerance, node_rng, run, sweep
 from uwmac.oracle import Branch
-from uwmac.policies import ModelAwarePolicy, build_model_aware_policy, tdma_slot_mask
+from uwmac.policies import ModelAwarePolicy, build_model_aware_policy
 
 
 def _ma(node_id, delay, member=True):
@@ -309,8 +309,7 @@ def test_block_profile_is_built_once_per_phase(monkeypatch):
     # starts at phase 0 and only the short last block needs a profile of its own;
     # the plan counts the window's TDMA classes off one period and the remainder
     calls = collections.Counter()
-    monkeypatch.setattr(engine, "tdma_slot_mask",
-                        _counted(calls, "tdma", engine.tdma_slot_mask))
+    monkeypatch.setattr(TdmaSchedule, "sends", _counted(calls, "tdma", TdmaSchedule.sends))
     # the decisions are read off the TDMA rows, so no block asks the policy
     monkeypatch.setattr(ModelAwarePolicy, "transmit_mask",
                         _counted(calls, "policy", ModelAwarePolicy.transmit_mask))
@@ -387,7 +386,7 @@ def test_helpers_make_no_generator_and_ask_no_policy(monkeypatch):
     monkeypatch.setattr(engine, "BLOCK_SLOTS", 7)
     monkeypatch.setattr(engine, "WORKERS", 2)
     monkeypatch.setattr(engine, "node_rng", on_thread("rng", engine.node_rng))
-    monkeypatch.setattr(engine, "tdma_slot_mask", on_thread("tdma", engine.tdma_slot_mask))
+    monkeypatch.setattr(TdmaSchedule, "sends", on_thread("tdma", TdmaSchedule.sends))
     monkeypatch.setattr(engine, "_tdma_classes", classes)
     monkeypatch.setattr(policies, "compute_forbidden_send_slots",
                         on_thread("policy", policies.compute_forbidden_send_slots))
@@ -446,13 +445,13 @@ def window_blocks(draw):
 
 
 def _tdma_arrivals(tdma, first, count):
-    """Row i: whether TDMA node i's packet reaches AP slots first .. first + count - 1,
-    walked slot by slot."""
-    # AP slot a hears a TDMA node of delay d from send slot a - d, if that is >= 0
+    """Row i: whether TDMA node i's packet reaches AP slots first .. first + count - 1."""
+    # AP slot a hears a TDMA node of delay d from send slot a - d, if that is >= 0:
+    # applied here too, so the profile does not lean on `sends` alone for it
     arrivals = np.zeros((len(tdma), count), dtype=bool)
     for row, n in enumerate(tdma):
         heard = np.arange(first, first + count) >= n.delay.slots
-        arrivals[row] = tdma_slot_mask(n.role.schedule, first - n.delay.slots, count) & heard
+        arrivals[row] = n.role.schedule.sends(first - n.delay.slots, count) & heard
     return arrivals
 
 

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +9,7 @@ from reference_model import (GatewayRoster, aloha_decide, gateway_select,
                              tdma_decide)
 from uwmac.oracle import optimal_aloha
 from uwmac.policies import (ModelAwarePolicy, build_model_aware_policy,
-                            compute_forbidden_send_slots, tdma_slot_mask)
+                            compute_forbidden_send_slots)
 
 
 @pytest.mark.parametrize("frame,assigned,t,expected", [
@@ -70,6 +68,8 @@ def test_forbidden_slots_negative_candidates_excluded():
     forbidden = forbidden_slots(tdma, Delay(3), 0, 12)
     assert forbidden == {1, 5, 9}       # s + 3 = 4k, s >= 0
     assert all(s >= 0 for s in forbidden)
+    # a range that starts below 0 still forbids no s < 0, though s = -3 meets TDMA slot 0
+    assert forbidden_slots(tdma, Delay(3), -5, 12) == {1, 5, 9}
 
 
 def test_forbidden_slots_multiple_tdma_nodes():
@@ -82,35 +82,6 @@ def test_forbidden_slots_multiple_tdma_nodes():
 def test_forbidden_slots_bad_range():
     with pytest.raises(ContractViolation):
         compute_forbidden_send_slots([], Delay(0), 5, 4)
-
-
-def test_tdma_slot_mask_memory_does_not_grow_with_the_frame():
-    schedule = TdmaSchedule(10**7, frozenset({0}))
-    tracemalloc.start()
-    try:
-        mask = tdma_slot_mask(schedule, 3, 100)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
-    assert len(mask) == 100 and not mask.any()   # offset 0 first recurs at slot 10**7 - 3
-    # offsets whose first slot lies at or past the mask's end set nothing
-    schedule = TdmaSchedule(10**7, frozenset({0, 5, 99, 100, 5_000, 10**7 - 1}))
-    assert np.flatnonzero(tdma_slot_mask(schedule, 0, 100)).tolist() == [0, 5, 99]
-    assert np.flatnonzero(tdma_slot_mask(schedule, 3, 100)).tolist() == [2, 96, 97]
-
-
-@settings(max_examples=300, derandomize=True, database=None, deadline=None)
-@given(frame=st.integers(1, 40) | st.sampled_from([2 ** 63 - 1, 2 ** 70]),
-       data=st.data(), shift=st.integers(-300, 300) | st.integers(-2 ** 72, 2 ** 72),
-       count=st.integers(0, 120))
-def test_tdma_slot_mask_matches_definition(frame, data, shift, count):
-    # frames shorter and longer than the mask, and frames past int64
-    near = st.integers(0, min(frame, 200) - 1) | st.integers(max(frame - 200, 0), frame - 1)
-    schedule = TdmaSchedule(frame, data.draw(st.frozensets(near, max_size=12)))
-    mask = tdma_slot_mask(schedule, shift, count)
-    assert mask.dtype == bool and len(mask) == count
-    assert mask.tolist() == [(s + shift) % frame in schedule.assigned for s in range(count)]
 
 
 @st.composite
@@ -147,10 +118,11 @@ def test_forbidden_mask_matches_definition(tdma, ma_delay, first_send, span, alo
     policy = build_model_aware_policy(scn)
     total = scn.total_send_slots
     expected = forbidden_by_definition(tdma, ma_delay, 0, total - 1)
-    assert [policy.decide(t) is Action.WAIT for t in range(total)] == \
-        [t in expected or policy.default_action is Action.WAIT for t in range(total)]
-    assert policy.decide(-1) is policy.default_action
-    assert policy.decide(total) is policy.default_action
+    transmits = policy.default_action is Action.TRANSMIT
+    assert [bool(policy.transmit_mask(t, 1)[0]) for t in range(total)] == \
+        [transmits and t not in expected for t in range(total)]
+    assert policy.transmit_mask(-1, 1).tolist() == [transmits]
+    assert policy.transmit_mask(total, 1).tolist() == [transmits]
 
 
 def z_value(q):
@@ -194,8 +166,7 @@ def test_build_policy_tdma_blocks_even_slots():
     assert policy.default_action is Action.TRANSMIT   # empty ALOHA set gives z = 1
     evens = {s for s in range(scn.total_send_slots) if s % 2 == 0}
     assert policy.forbidden_send_slots.tolist() == sorted(evens)
-    assert policy.decide(4) is Action.WAIT
-    assert policy.decide(5) is Action.TRANSMIT
+    assert policy.transmit_mask(4, 2).tolist() == [False, True]
 
 
 def test_build_policy_rejects_non_model_aware_node():
