@@ -6,8 +6,9 @@ decomposes into per-slot success probabilities and can be computed exactly in
 O(H), at any horizon. Enumerating all 2^H sequences, which only short
 horizons allow, then certifies that the precomputed policy and the
 closed-form optimum really are optimal. The enumeration builds the table of
-all 2^H values by doubling, in O(2^H) time and memory: 512 KB of float64 at
-ENUMERATION_HORIZON_LIMIT = 16.
+all 2^H values by doubling, writing each level once, in O(2^H) time and
+memory: at ENUMERATION_HORIZON_LIMIT = 16 it peaks at two 512 KiB float64
+tables (1 MiB), the last level plus the tie scan's copy.
 """
 from __future__ import annotations
 
@@ -132,7 +133,10 @@ def _optimum(wait: Sequence[float], transmit: Sequence[float]) -> tuple[ActionSe
     h = len(wait)
     values = np.zeros(1)
     for i in range(h):
-        values = np.stack((values + wait[i], values + transmit[i]), axis=1).ravel()
+        table = np.empty((values.size, 2))
+        np.add(values, wait[i], out=table[:, 0])
+        np.add(values, transmit[i], out=table[:, 1])
+        values = table.ravel()
     values /= h
     # the last maximizer is the lexicographically largest sequence
     best_code = values.size - 1 - int(np.argmax(values[::-1]))
@@ -144,7 +148,8 @@ def _optimum(wait: Sequence[float], transmit: Sequence[float]) -> tuple[ActionSe
 def enumerate_optimal(scenario: Scenario) -> tuple[ActionSequence, float]:
     """Evaluate all 2^H action sequences; return a maximizer and its value.
 
-    Costs O(2^H) time and memory: 512 KB of float64 at the limit of 16.
+    Costs O(2^H) time and memory: at the limit of 16 the peak is two 512 KiB
+    float64 tables (1 MiB), the last level plus the tie scan's copy.
     Ties break toward the lexicographically largest sequence (TRANSMIT before
     WAIT), matching the policy module's z = 0 rule.
     """

@@ -14,6 +14,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from uwmac.bruteforce import ENUMERATION_HORIZON_LIMIT
 from uwmac.cli import main
 
 ROOT = Path(__file__).resolve().parents[2]
@@ -21,13 +22,17 @@ GOLDEN = Path(__file__).resolve().parent
 
 
 def cli_cases() -> dict[str, list[str]]:
-    """run, verify and the verify negative control on every scenario file,
-    plus sweep CSV on stdout: seed last, seed first, and a p grid."""
+    """run, verify, verify at the enumeration limit and the verify negative
+    control on every scenario file, plus sweep CSV on stdout: seed last, seed
+    first, and a p grid."""
+    limit = str(ENUMERATION_HORIZON_LIMIT)
     cases = {}
     for path in sorted((ROOT / "demos" / "scenarios").glob("*.json")):
         scenario = str(path.relative_to(ROOT))
         cases[f"run-{path.stem}"] = ["run", "--scenario", scenario]
         cases[f"verify-{path.stem}"] = ["verify", "--scenario", scenario, "--horizon", "12"]
+        cases[f"verify-limit-{path.stem}"] = ["verify", "--scenario", scenario,
+                                              "--horizon", limit]
         cases[f"verify-corrupt-{path.stem}"] = ["verify", "--scenario", scenario,
                                                 "--horizon", "12", "--corrupt-policy"]
     sweep = ["sweep", "--slots", "2000", "--scenario"]
