@@ -18,7 +18,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import Action, ContractViolation, Scenario, ValidationError, validate_scenario
+from .core import (Action, ContractViolation, NodeSpec, Scenario, ValidationError,
+                   validate_scenario)
 from .oracle import optimal_mixed
 from .policies import build_model_aware_policy
 
@@ -65,18 +66,14 @@ def _aloha_success_probs(q: Sequence[float]) -> tuple[float, float]:
     return p_none, p_one
 
 
-def _tdma_arrival_counts(scenario: Scenario) -> list[int]:
-    """Deterministic TDMA arrivals per measured AP slot."""
-    start, horizon = scenario.warmup_slots, scenario.horizon
-    counts = [0] * horizon
-    for node in scenario.tdma_nodes:
-        schedule = node.role.schedule
-        d = node.delay.slots
-        for i in range(horizon):
-            t = start + i - d
-            if t >= 0 and t % schedule.frame_length in schedule.assigned:
-                counts[i] += 1
-    return counts
+def _arrival_classes(tdma: Sequence[NodeSpec], start: int, horizon: int) -> bytes:
+    """min(TDMA arrivals, 2) at each of AP slots start .. start + horizon - 1,
+    read off each node's send mask (no send before send slot 0)."""
+    classes = np.zeros(horizon, dtype=np.uint8)
+    for node in tdma:
+        classes += node.role.schedule.sends(start - node.delay.slots, horizon)
+        np.minimum(classes, 2, out=classes)   # so no count of nodes overflows
+    return classes.tobytes()
 
 
 class _Window(NamedTuple):
@@ -99,8 +96,8 @@ def _window(scenario: Scenario) -> _Window:
     if not scenario.model_aware_nodes:
         raise ContractViolation("scenario has no model-aware node to enumerate")
     p_none, p_one = _aloha_success_probs(scenario.aloha_probs)
-    return _Window(bytes(min(c, 2) for c in _tdma_arrival_counts(scenario)),
-                   wait=(p_one, p_none, 0.0), transmit=(p_none, 0.0, 0.0))
+    classes = _arrival_classes(scenario.tdma_nodes, scenario.warmup_slots, scenario.horizon)
+    return _Window(classes, wait=(p_one, p_none, 0.0), transmit=(p_none, 0.0, 0.0))
 
 
 def exact_expected_throughput(seq: ActionSequence, scenario: Scenario) -> float:

@@ -171,30 +171,23 @@ def load_scenario(path: str, slots: int | None = None, warmup: int | None = None
     return parse_scenario(doc)
 
 
-# the types that the CSV writer renders as the rows want them: None as "",
-# the others by str, which for an exact float is its repr
-_AS_IS = frozenset({type(None), str, int, float})
-
-
 def _cell(value):
-    """A value of any other type as the writer should get it: bools spelled
-    out, and a float subclass such as np.float64, whose str need not be its
-    repr, by repr."""
+    """A bool spelled out, a float as its repr, anything else as it is. The
+    CSV writer writes a Python float by repr too, so `_rows` uses this for
+    the verdict and to render a float that a run of points shares once."""
     if isinstance(value, bool):
         return "true" if value else "false"
     return repr(value) if isinstance(value, float) else value
 
 
 def _write_csv(out_path: str | None, fieldnames: list[str], rows: list[list]) -> None:
-    """Write rows, each a list in the order of `fieldnames`, to out_path, or to
-    stdout when it is None."""
+    """Write rows as `_rows` renders them, each a list in the order of
+    `fieldnames`, to out_path, or to stdout when it is None."""
     with (contextlib.nullcontext(sys.stdout) if out_path is None
           else open(out_path, "w", newline="")) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(fieldnames)
-        writer.writerows(row if _AS_IS.issuperset(map(type, row)) else
-                         [value if type(value) in _AS_IS else _cell(value) for value in row]
-                         for row in rows)
+        writer.writerows(rows)
 
 
 def _rows(entries, tolerance: float | None) -> tuple[list[list], bool]:
@@ -202,9 +195,12 @@ def _rows(entries, tolerance: float | None) -> tuple[list[list], bool]:
     list in column order: the swept `params`, then CSV_COLUMNS; and whether
     every report passed. The report is None when `error` stopped its point.
     With an oracle, a report passes when its deviation is at most `tolerance`
-    (None for the four-sigma default). The verdict and the cells that the
-    oracle fixes are rendered here by the cell rule, the latter once for a
-    run of points that share their plan's oracle."""
+    (None for the four-sigma default). This is the one renderer of cells,
+    so the CSV writer writes the rows as they are: each cell is None, a str,
+    an int or a Python float, which the writer writes by repr, and the
+    verdict is spelled out by `_cell`. The cells that the oracle fixes are
+    rendered by `_cell` once for a run of points that share their plan's
+    oracle."""
     rows, passed, oracle, slots = [], True, None, None
     for params, scenario_id, seed, report, error in entries:
         if report is None:

@@ -41,10 +41,10 @@ window's TDMA classes, its cross collisions and the oracle at them, held in a
 `_Plan`. A window of one block reads its classes off that profile; one
 counter of the classes (`_tdma_classes`) gives those of a longer window and
 the gateway's decisions before the window. The part that q does not move
-either, its `_Layout` (period, block, profile, classes and the gateway's
-decisions before the window), is fixed by the TDMA nodes, the window, the
-branch and the stream's member count and delay; `sweep` hands its plans one
-`_Layouts` memo of them by that key, and `run` none.
+either, the `_Layout` that the plan holds (period, block, profile, classes
+and the gateway's decisions before the window), is fixed by the TDMA nodes,
+the window, the branch and the stream's member count and delay; `sweep`
+hands its plans one `_Layouts` memo of them by that key, and `run` none.
 
 `_simulate` counts lanes. A lane is a (plan, seed) pair, and the lanes of one
 call share start, horizon, block and node layout; `run` is a call of one lane.
@@ -64,20 +64,18 @@ plan's oracle.
 `sweep` keeps its last valid plan: a point whose parameters other than `seed`
 equal those that built it checks only its seed (`seed_errors`, the rule
 `validate_scenario` applies) and reuses that plan. So a grid that lists
-`seed` last builds one plan per run of seeds. It also keeps the chain of
-scenarios that its grid parameters derive from `base`, one parameter at a
-time in grid order, so a new plan applies again only the parameters from the
-first one whose value changed (or failed last time). Its plans share their
-layouts through the sweep's memo, whose profiles hold at most BLOCK_SLOTS
-slots in all: a layout that would take them past clears the memo first. The
-validation, the branch and the oracle still run once per plan, so every
-point keeps its own error. The valid points of one warm-up
-and horizon are counted together, wherever they stand in the grid, in batches
-of at most BLOCK_SLOTS // min(block, horizon) lanes. So a batch's buffers are
-never larger than one run's, and a batch of several lanes has a window of one
-block: one range and no profile to rebuild. Each batch is sorted by seed, so
-it seeds each of its distinct seeds' ALOHA generators once, through
-`node_rng`, as `run` does.
+`seed` last builds one plan per run of seeds. Any other point builds one
+scenario, `base` with all of its values applied in grid order (`_derive`),
+and one plan from it. The plans share their layouts through the sweep's
+memo, whose profiles hold at most BLOCK_SLOTS slots in all: a layout that
+would take them past clears the memo first. The validation, the branch and
+the oracle still run once per plan, so every point keeps its own error. The
+valid points of one warm-up and horizon are counted together, wherever they
+stand in the grid, in batches of at most BLOCK_SLOTS // min(block, horizon)
+lanes. So a batch's buffers are never larger than one run's, and a batch of
+several lanes has a window of one block: one range and no profile to
+rebuild. Each batch is sorted by seed, so it seeds each of its distinct
+seeds' ALOHA generators once, through `node_rng`, as `run` does.
 """
 from __future__ import annotations
 
@@ -196,6 +194,18 @@ class _BlockProfile:
         return cls(count, packed, k)
 
 
+class _Layout(NamedTuple):
+    """The part of a plan that neither its seed nor its q fixes: what its TDMA
+    nodes, window, branch and stream's member count and delay fix."""
+
+    period: int                     # the lcm of the TDMA frames
+    block: int                      # AP slots per block
+    profile: _BlockProfile          # of the window's first block
+    single: int                     # the window's AP slots of exactly one TDMA arrival
+    cross: int                      # the window's AP slots of two or more TDMA arrivals
+    sent: int                       # the stream's transmit decisions before the window
+
+
 class _Plan(NamedTuple):
     """What a valid scenario fixes whatever its seed, oracle included: all of a run
     but the draws and what they decide. Ranges read it and never write it."""
@@ -204,26 +214,10 @@ class _Plan(NamedTuple):
     tdma: tuple[NodeSpec, ...]
     start: int                      # the first measured AP slot
     horizon: int
-    period: int                     # the lcm of the TDMA frames
-    block: int                      # AP slots per block
     transmit: bool                  # whether the model-aware stream's policy transmits
     members: tuple[NodeId, ...]     # its members, by id
-    sent: int                       # its transmit decisions before the window
-    profile: _BlockProfile          # of the window's first block
-    cross: int                      # the window's AP slots of two or more TDMA arrivals
+    layout: _Layout
     oracle: OracleResult | None     # at the window's classes; None without a stream
-
-
-class _Layout(NamedTuple):
-    """The part of a plan that neither its seed nor its q fixes: what its TDMA
-    nodes, window, branch and stream's member count and delay fix."""
-
-    period: int
-    block: int
-    profile: _BlockProfile
-    single: int                     # the window's AP slots of exactly one TDMA arrival
-    cross: int
-    sent: int
 
 
 class _Layouts(dict):
@@ -283,8 +277,7 @@ def _plan(scenario: Scenario, layouts: _Layouts | None = None) -> _Plan:
     oracle = (optimal_mixed(layout.single / horizon, scenario.aloha_probs, layout.cross / horizon)
               if members else None)
     return _Plan(tuple((n.id, n.delay.slots, n.role.q) for n in scenario.aloha_nodes), tdma,
-                 start, horizon, layout.period, layout.block, transmit, members, layout.sent,
-                 layout.profile, layout.cross, oracle)
+                 start, horizon, transmit, members, layout, oracle)
 
 
 def _count_range(plans: Sequence[_Plan], begin: int, end: int, aloha: Sequence) -> list[tuple]:
@@ -302,11 +295,11 @@ def _count_range(plans: Sequence[_Plan], begin: int, end: int, aloha: Sequence) 
     ALOHA nodes, the TDMA nodes, then turn j of the range's decisions.
     """
     plan = plans[0]
-    start, block, period = plan.start, plan.block, plan.period
+    start, block, period = plan.start, plan.layout.block, plan.layout.period
     k = len(plan.members)
     # each distinct profile, with the first lane of it, and each lane's index among them
     firsts = {}
-    at = [firsts.setdefault(lane.profile, (len(firsts), lane))[0] for lane in plans]
+    at = [firsts.setdefault(lane.layout.profile, (len(firsts), lane))[0] for lane in plans]
     profiles, owners = list(firsts), [lane for _, lane in firsts.values()]
     # every lane's profile rows, from one stack of the distinct profiles, copied in at each block
     fixed_rows = np.stack([profile.packed for profile in profiles])[at]
@@ -396,11 +389,11 @@ def _simulate(lanes: Sequence[tuple[_Plan, int]]) -> list[SimReport]:
     plans = [plan for plan, _ in lanes]
     seeds = [(seed, len(list(same))) for seed, same in itertools.groupby(s for _, s in lanes)]
     plan = plans[0]
-    start, horizon, members = plan.start, plan.horizon, plan.members
+    start, horizon, members, block = plan.start, plan.horizon, plan.members, plan.layout.block
     # range r counts blocks blocks * r // ranges onward; the calling thread makes its generators
-    blocks = -(-horizon // plan.block)
+    blocks = -(-horizon // block)
     ranges = min(WORKERS, blocks)
-    bounds = [start + blocks * r // ranges * plan.block for r in range(ranges)] + [start + horizon]
+    bounds = [start + blocks * r // ranges * block for r in range(ranges)] + [start + horizon]
     work = []
     for begin, end in zip(bounds, bounds[1:]):
         aloha, lo = [], 0   # (lo, hi, generators at AP slot `begin`) of each run of a seed
@@ -431,7 +424,7 @@ def _simulate(lanes: Sequence[tuple[_Plan, int]]) -> list[SimReport]:
     counts, collisions = 0, [0] * len(plans)
     # transmit decision i from send slot 0 on goes to members[i mod k], and `sent`
     # of them came before each range: reduced as a Python int, as a delay may be int64
-    sent = [int(plan.sent) % k for plan in plans] if k > 1 else None
+    sent = [int(plan.layout.sent) % k for plan in plans] if k > 1 else None
     each = np.arange(len(plans))[:, None]
     for lost, totals, decided in (zip(*per_lane) for per_lane in counted):
         table = np.array(totals, dtype=np.int64)
@@ -452,7 +445,7 @@ def _simulate(lanes: Sequence[tuple[_Plan, int]]) -> list[SimReport]:
             measured_slots=horizon, successes=success, collisions=collision,
             idle=horizon - success - collision, per_node_successes=dict(enumerate(per_node)),
             empirical_throughput=empirical, warmup_slots=start,
-            tdma_cross_collisions=plan.cross, oracle=oracle, deviation=deviation))
+            tdma_cross_collisions=plan.layout.cross, oracle=oracle, deviation=deviation))
     return reports
 
 
@@ -489,29 +482,31 @@ def _is_whole(value) -> bool:
                                 or float(value).is_integer())
 
 
-def _apply_parameter(scenario: Scenario, name: str, value) -> Scenario:
-    fields = {"horizon": scenario.horizon, "warmup": scenario.warmup, "seed": scenario.seed}
-    nodes = scenario.nodes
-    if name == "q":
-        if not scenario.aloha_nodes:
-            raise ValidationError("sweep parameter 'q' needs at least one ALOHA node")
-        role = AlohaRole(float(value))
-        nodes = tuple(NodeSpec(n.id, n.delay, role) if isinstance(n.role, AlohaRole) else n
-                      for n in nodes)
-    elif name == "p":
-        tdma = scenario.tdma_nodes
-        if len(tdma) != 1:
-            raise ValidationError("sweep parameter 'p' needs exactly one TDMA node")
-        frame = tdma[0].role.schedule.frame_length
-        used = float(value) * frame
-        if not 0 <= used <= frame or abs(used - round(used)) > 1e-9:
-            raise ValidationError(f"p={value} is not a whole number of slots "
-                                  f"in a frame of length {frame}")
-        role = TdmaRole(TdmaSchedule(frame, frozenset(range(int(round(used))))))
-        nodes = tuple(NodeSpec(n.id, n.delay, role) if n.id == tdma[0].id else n
-                      for n in nodes)
-    else:   # sweep has already rejected every other name: horizon, warmup or seed
-        fields[name] = int(value)
+def _derive(base: Scenario, params: dict) -> Scenario:
+    """`base` with the value of each of `params` (name: value) applied in their
+    order, built as one Scenario. Raises the ValidationError of the first
+    value that fails."""
+    fields = {"horizon": base.horizon, "warmup": base.warmup, "seed": base.seed}
+    roles = {}   # the new role of each swept role type
+    for name, value in params.items():
+        if name == "q":
+            if not base.aloha_nodes:
+                raise ValidationError("sweep parameter 'q' needs at least one ALOHA node")
+            roles[AlohaRole] = AlohaRole(float(value))
+        elif name == "p":
+            tdma = base.tdma_nodes
+            if len(tdma) != 1:
+                raise ValidationError("sweep parameter 'p' needs exactly one TDMA node")
+            frame = tdma[0].role.schedule.frame_length
+            used = float(value) * frame
+            if not 0 <= used <= frame or abs(used - round(used)) > 1e-9:
+                raise ValidationError(f"p={value} is not a whole number of slots "
+                                      f"in a frame of length {frame}")
+            roles[TdmaRole] = TdmaRole(TdmaSchedule(frame, frozenset(range(int(round(used))))))
+        else:   # sweep has already rejected every other name: horizon, warmup or seed
+            fields[name] = int(value)
+    nodes = tuple(NodeSpec(n.id, n.delay, roles[type(n.role)]) if type(n.role) in roles else n
+                  for n in base.nodes)
     return Scenario(nodes, **fields)
 
 
@@ -521,8 +516,7 @@ def sweep(base: Scenario, grid: Sequence[tuple[str, Sequence]]) -> list[SweepPoi
 
     A point whose parameters other than `seed` equal those that built the last
     valid plan (`_plan`) reuses it: only its seed is checked. Any other point
-    derives its scenario from the chain that the earlier points left, applying
-    again only the parameters from the first one that changed, and builds its
+    builds one scenario, `base` with its values applied in grid order, and its
     plan around a layout that the sweep's memo may already hold (keyed by the
     TDMA nodes, window, branch and the stream's member count and delay; at
     most BLOCK_SLOTS profile slots in all). The valid points
@@ -555,8 +549,6 @@ def sweep(base: Scenario, grid: Sequence[tuple[str, Sequence]]) -> list[SweepPoi
     if mistyped:
         raise ValidationError(mistyped)
     fixed = [i for i, name in enumerate(names) if name != "seed"]
-    # chain[j] is base with the first j values of `applied` applied, in grid order
-    chain, applied = [base], []
     # the last valid plan, the values but the seed it was built for, the batch
     # of its window and the lanes that fill it
     plan = key = batch = lanes = None
@@ -577,20 +569,12 @@ def sweep(base: Scenario, grid: Sequence[tuple[str, Sequence]]) -> list[SweepPoi
         values = [combo[i] for i in fixed]
         try:
             if values != key:
-                # apply again from the first value that the chain does not hold
-                same = next((j for j, value in enumerate(applied) if value != values[j]),
-                            len(applied))
-                del chain[same + 1:], applied[same:]
-                for i, value in zip(fixed[same:], values[same:]):
-                    chain.append(_apply_parameter(chain[-1], names[i], value))
-                    applied.append(value)
-                last = chain[-1]
-                plan = _plan(Scenario(last.nodes, last.horizon, last.warmup, seed), layouts)
+                plan = _plan(_derive(base, {**params, "seed": seed}), layouts)
                 key = values
                 # a batch's lanes share one window (and, as `p` keeps the frame, one
                 # block), and all of them take no more slots than one block
                 batch = pending.setdefault((plan.start, plan.horizon), [])
-                lanes = BLOCK_SLOTS // min(plan.block, plan.horizon)
+                lanes = BLOCK_SLOTS // min(plan.layout.block, plan.horizon)
             else:
                 errors = seed_errors(seed)
                 if errors:

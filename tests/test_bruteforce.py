@@ -1,6 +1,8 @@
+import importlib
 import itertools
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -87,6 +89,20 @@ def reference_optimum(wait, transmit):
     best_code = int(codes[values == best_value].max())
     bits = tuple(T if (best_code >> (h - 1 - i)) & 1 else W for i in range(h))
     return ActionSequence(bits), float(best_value)
+
+
+def reference_classes(tdma, start, horizon):
+    """min(TDMA arrivals, 2) at each of AP slots start .. start + horizon - 1,
+    one slot and one node at a time."""
+    counts = [0] * horizon
+    for node in tdma:
+        schedule = node.role.schedule
+        d = node.delay.slots
+        for i in range(horizon):
+            t = start + i - d
+            if t >= 0 and t % schedule.frame_length in schedule.assigned:
+                counts[i] += 1
+    return bytes(min(c, 2) for c in counts)
 
 
 def window_probs(scenario):
@@ -359,3 +375,46 @@ def test_enumeration_at_the_limit_stays_within_two_and_a_quarter_tables():
     # one 2^16 float64 table is 512 KiB; the peak holds 2 of them, the last
     # level plus the tie scan's contiguous copy
     assert peak <= 2.25 * (8 << 16)
+
+
+@st.composite
+def tdma_windows(draw):
+    """Up to five TDMA nodes whose arrivals may overlap, with frames of up to
+    40 slots against windows of 1 to 24, from a start that may lie below a
+    node's delay, so that some send slots fall below 0."""
+    tdma = []
+    for i in range(draw(st.integers(0, 5))):
+        frame = draw(st.integers(1, 40))
+        assigned = draw(st.frozensets(st.integers(0, frame - 1), max_size=6))
+        tdma.append(_tdma(i, draw(st.integers(0, 30)), frame, assigned))
+    return tdma, draw(st.integers(0, 45)), draw(st.integers(1, 24))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(tdma_windows())
+def test_window_classes_equal_the_per_slot_count(window):
+    assert bruteforce._arrival_classes(*window) == reference_classes(*window)
+
+
+def test_window_classes_saturate_past_255_nodes():
+    # 300 nodes send in every slot: a uint8 count would wrap to 44
+    tdma = [_tdma(i, 0, 1, {0}) for i in range(300)]
+    assert bruteforce._arrival_classes(tdma, 0, 3) == bytes([2, 2, 2])
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_certificates_on_the_benchmark_inputs_equal_the_per_slot_windows(
+        monkeypatch, tmp_path, seed):
+    # the 15 certify_grid inputs of the benchmark, H = 16 and 0 to 14 ALOHA nodes
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    scenarios = []
+    for op in workloads.build("certify_grid", seed, tmp_path):
+        op.load()
+        scenarios.append(op.scenario)
+    assert len(scenarios) == 15
+    certificates = [repr(certify_policy(scn)) for scn in scenarios]
+    bruteforce._window.cache_clear()
+    monkeypatch.setattr(bruteforce, "_arrival_classes", reference_classes)
+    assert [repr(certify_policy(scn)) for scn in scenarios] == certificates
+    bruteforce._window.cache_clear()

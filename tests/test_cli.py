@@ -8,7 +8,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -384,8 +383,8 @@ def test_calls_in_one_process_write_what_each_writes_alone(tmp_path, capsys):
 
 
 def _fmt(value) -> str:
-    """The CSV cell rule that `_write_csv` keeps: None empty, bools spelled
-    out, floats by repr and anything else by str."""
+    """The CSV cell rule that `_rows` keeps: None empty, bools spelled out,
+    floats by repr and anything else by str."""
     if value is None:
         return ""
     if isinstance(value, bool):
@@ -396,11 +395,12 @@ def _fmt(value) -> str:
 
 
 def test_csv_cells_are_rendered_by_the_cell_rule(tmp_path):
-    values = [None, True, False, 0, -0.0, 1e-300, math.nan, math.inf, np.float64(0.1),
-              np.bool_(True), 'error: bad "p", 0.3']
+    # `_rows` renders its cells with `_cell`, and `_write_csv` writes them as they are
+    values = [None, True, False, 0, 2 ** 64 - 1, -0.0, 1e-300, math.nan, math.inf, 0.1,
+              'error: bad "p", 0.3']
     names = [f"c{i}" for i in range(len(values))]
     out = tmp_path / "cells.csv"
-    cli._write_csv(str(out), names, [values, [None] * len(names)])
+    cli._write_csv(str(out), names, [[cli._cell(value) for value in values], [None] * len(names)])
     expected = io.StringIO()
     writer = csv.writer(expected, lineterminator="\n")
     writer.writerows([names, [_fmt(value) for value in values], [""] * len(names)])

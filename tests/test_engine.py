@@ -809,14 +809,11 @@ def sweep_grids(draw):
 
 
 def _point_scenario(base, point):
-    scenario = base
-    for name, value in point.params.items():
-        scenario = engine._apply_parameter(scenario, name, value)
-    return dataclasses.replace(scenario, seed=point.seed)
+    return engine._derive(base, {**point.params, "seed": point.seed})
 
 
 def _window(plan):
-    return plan.start, plan.horizon, plan.block
+    return plan.start, plan.horizon, plan.layout.block
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -905,10 +902,7 @@ def test_a_sweep_seeds_each_listed_seed_once_per_aloha_node(monkeypatch):
         points = sweep(base, grid)
         assert calls == {"seeded": seeded}
         for point in points:
-            scenario = base
-            for name, value in point.params.items():
-                scenario = engine._apply_parameter(scenario, name, value)
-            assert point.report == run(dataclasses.replace(scenario, seed=point.seed))
+            assert point.report == run(_point_scenario(base, point))
 
 
 def test_a_sweep_works_the_oracle_out_once_per_plan(monkeypatch):
@@ -924,9 +918,9 @@ def test_a_sweep_works_the_oracle_out_once_per_plan(monkeypatch):
         points = sweep(base, grid)
         assert calls == {"plan": plans, "oracle": plans}
         for point in points:
-            scenario = engine._apply_parameter(base, "q", point.params["q"])
+            scenario = _point_scenario(base, point)
             calls.clear()
-            assert point.report == run(dataclasses.replace(scenario, seed=point.seed))
+            assert point.report == run(scenario)
             assert calls == {"plan": 1, "oracle": 1}
 
 
@@ -936,7 +930,7 @@ def test_a_sweep_counts_its_short_points_in_batches(monkeypatch):
     count_range = engine._count_range
 
     def counted(plans, *args):
-        calls.append(len(plans) * min(plans[0].block, plans[0].horizon))
+        calls.append(len(plans) * min(plans[0].layout.block, plans[0].horizon))
         return count_range(plans, *args)
 
     monkeypatch.setattr(engine, "_count_range", counted)
@@ -968,20 +962,19 @@ def test_a_sweep_counts_its_short_points_in_batches(monkeypatch):
 
 def test_a_sweep_builds_one_profile_per_layout(monkeypatch):
     # the sweep_short shape: q moves only the branch, so the 48 plans of
-    # 8 q x 6 p share 6 p x 2 branches = 12 profiles; a change of q applies
-    # q and p again and a change of p only p, 8 x 2 + 40 = 56 parameters
+    # 8 q x 6 p share 6 p x 2 branches = 12 profiles; each plan derives one
+    # scenario, and the seeds that reuse a plan derive none
     calls = collections.Counter()
     monkeypatch.setattr(engine._BlockProfile, "build",
                         staticmethod(_counted(calls, "profile", engine._BlockProfile.build)))
-    monkeypatch.setattr(engine, "_apply_parameter",
-                        _counted(calls, "apply", engine._apply_parameter))
+    monkeypatch.setattr(engine, "_derive", _counted(calls, "derive", engine._derive))
     monkeypatch.setattr(engine, "_plan", _counted(calls, "plan", engine._plan))
     base = Scenario((_ma(0, 1), _tdma(1, 3, 10, {0}), _aloha(2, 5, 0.1), _aloha(3, 0, 0.1)),
                     horizon=500, seed=5)
     grid = [("q", [0.05, 0.1, 0.2, 0.3, 0.6, 0.7, 0.8, 0.9]),
             ("p", [0.0, 0.1, 0.2, 0.3, 0.4, 0.5]), ("seed", [11, 12, 13, 14])]
     points = sweep(base, grid)
-    assert calls == {"profile": 12, "apply": 56, "plan": 48}
+    assert calls == {"profile": 12, "derive": 48, "plan": 48}
     assert {point.report.oracle.chosen_branch for point in points} == set(Branch)
     for point in points:
         assert point.report == run(_point_scenario(base, point))
@@ -1009,21 +1002,12 @@ def test_a_sweeps_profiles_stay_within_a_block(monkeypatch):
         assert point.report == run(_point_scenario(base, point))
 
 
-def test_a_bad_value_between_good_ones_keeps_its_error(monkeypatch):
-    # q = 1.7 and p = 0.3 of a 4-slot frame fail; the chain of scenarios
-    # applies again from the parameter that failed, so every point after
-    # a failure is still the run of its own values
-    applied = []
-    apply = engine._apply_parameter
-
-    def recorded(scenario, name, value):
-        applied.append(name)
-        return apply(scenario, name, value)
-
-    monkeypatch.setattr(engine, "_apply_parameter", recorded)
+def test_a_bad_value_between_good_ones_keeps_its_error():
+    # q = 1.7 and p = 0.3 of a 4-slot frame fail; every point after a
+    # failure is still the run of its own values, and a point of both
+    # fails by q, its first parameter
     base = SWEEP_BASES["one_tdma"]
     points = sweep(base, [("q", [0.2, 1.7, 0.3]), ("p", [0.25, 0.3, 0.5])])
-    assert applied == ["q", "p", "p", "p", "q", "q", "q", "q", "p", "p", "p"]
     assert [point.report is None for point in points] == [False, True, False, True, True,
                                                           True, False, True, False]
     for point in points:
@@ -1081,7 +1065,7 @@ def test_a_gateway_in_a_batch_splits_its_successes_as_a_run_does(monkeypatch):
     assert [len(lanes) for lanes in batches] == [24, 24]
     for lanes in batches:
         assert {plan.transmit for plan in lanes} == {False, True}
-        assert {plan.sent % 3 for plan in lanes if plan.transmit} == {0, 1, 2}
+        assert {plan.layout.sent % 3 for plan in lanes if plan.transmit} == {0, 1, 2}
     for point in points:
         report = run(_point_scenario(base, point))
         assert point.report == report
@@ -1099,12 +1083,11 @@ def test_lanes_of_several_blocks_count_as_their_runs(monkeypatch, workers):
     monkeypatch.setattr(engine, "WORKERS", workers)
     base = Scenario((_ma(0, 2), _ma(1, 2), _ma(2, 2), _tdma(3, 1, 5, {0}), _aloha(4, 3, 0.05),
                      _aloha(5, 0, 0.1)), horizon=100, warmup=10, seed=8)
-    scenarios = [dataclasses.replace(engine._apply_parameter(
-                     engine._apply_parameter(base, "p", p), "q", q), seed=seed)
+    scenarios = [engine._derive(base, {"p": p, "q": q, "seed": seed})
                  for p, q, seed in [(0.2, 0.05, 4), (0.4, 0.9, 3), (0.4, 0.3, 4), (0.6, 0.05, 3)]]
     plans = [engine._plan(scenario) for scenario in scenarios]
     assert [plan.transmit for plan in plans] == [True, False, True, True]
-    assert len({plan.sent % 3 for plan in plans if plan.transmit}) == 3
+    assert len({plan.layout.sent % 3 for plan in plans if plan.transmit}) == 3
     reports = engine._simulate([(plan, scenario.seed) for plan, scenario in zip(plans, scenarios)])
     assert reports == [run(scenario) for scenario in scenarios]
 
@@ -1114,7 +1097,7 @@ def test_lanes_come_back_in_their_order():
     # at its lane, and no two of them are equal
     base = Scenario((_ma(0, 1), _tdma(1, 3, 10, {0}), _aloha(2, 5, 0.1), _aloha(3, 0, 0.1)),
                     horizon=500, seed=5)
-    scenarios = [dataclasses.replace(engine._apply_parameter(base, "q", q), seed=seed)
+    scenarios = [engine._derive(base, {"q": q, "seed": seed})
                  for q, seed in [(0.2, 12), (0.6, 11), (0.6, 12), (0.2, 11)]]
     plans = [engine._plan(scenario) for scenario in scenarios]
     reports = engine._simulate([(plan, scenario.seed) for plan, scenario in zip(plans, scenarios)])
@@ -1162,7 +1145,7 @@ def test_per_node_successes_are_python_ints_in_id_order(monkeypatch):
     simulate = engine._simulate
 
     def recorded(lanes):
-        batches.append({plan.sent % 3 for plan, _ in lanes})
+        batches.append({plan.layout.sent % 3 for plan, _ in lanes})
         return simulate(lanes)
 
     monkeypatch.setattr(engine, "_simulate", recorded)
@@ -1177,32 +1160,58 @@ def test_per_node_successes_are_python_ints_in_id_order(monkeypatch):
         assert min(per_node[m] for m in range(3)) > 0
 
 
-@pytest.mark.parametrize("name, value", [
-    ("q", 0.3), ("q", np.float64(0.7)), ("q", 1), ("p", 0.5), ("p", np.float64(0.25)),
-    ("horizon", 17), ("horizon", np.int64(9)), ("warmup", 4.0), ("warmup", np.int64(6))])
-def test_a_swept_scenario_equals_its_replaced_dataclass(name, value):
-    # _apply_parameter builds nodes and scenarios directly; what it builds is
-    # the scenario that dataclasses.replace gives, role tuples included
-    base = SWEEP_BASES["one_tdma"]
+def _replaced(scenario, name, value):
+    """`scenario` with one swept value set by dataclasses.replace."""
     if name == "q":
         role = AlohaRole(float(value))
-        expected = dataclasses.replace(base, nodes=tuple(
-            dataclasses.replace(n, role=role) if isinstance(n.role, AlohaRole) else n
-            for n in base.nodes))
     elif name == "p":
-        frame = base.tdma_nodes[0].role.schedule.frame_length
+        frame = scenario.tdma_nodes[0].role.schedule.frame_length
         role = TdmaRole(TdmaSchedule(frame, frozenset(range(round(value * frame)))))
-        expected = dataclasses.replace(base, nodes=tuple(
-            dataclasses.replace(n, role=role) if isinstance(n.role, TdmaRole) else n
-            for n in base.nodes))
     else:
-        expected = dataclasses.replace(base, **{name: int(value)})
-    applied = engine._apply_parameter(base, name, value)
+        return dataclasses.replace(scenario, **{name: int(value)})
+    return dataclasses.replace(scenario, nodes=tuple(
+        dataclasses.replace(n, role=role) if isinstance(n.role, type(role)) else n
+        for n in scenario.nodes))
+
+
+def _assert_derived(params):
+    # _derive builds nodes and scenarios directly; what it builds is the
+    # scenario that dataclasses.replace gives, one value at a time, role
+    # tuples included
+    base = expected = SWEEP_BASES["one_tdma"]
+    for name, value in params.items():
+        expected = _replaced(expected, name, value)
+    applied = engine._derive(base, params)
     assert applied == expected and hash(applied) == hash(expected)
     for field in ("horizon", "warmup", "seed"):
         assert type(getattr(applied, field)) is type(getattr(expected, field))
     for roles in ("aloha_nodes", "tdma_nodes", "model_aware_nodes", "aloha_probs"):
         assert getattr(applied, roles) == getattr(expected, roles)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("q", 0.3), ("q", np.float64(0.7)), ("q", 1), ("p", 0.5), ("p", np.float64(0.25)),
+    ("horizon", 17), ("horizon", np.int64(9)), ("warmup", 4.0), ("warmup", np.int64(6))])
+def test_a_swept_scenario_equals_its_replaced_dataclass(name, value):
+    _assert_derived({name: value})
+
+
+@pytest.mark.parametrize("params", [
+    {"q": 0.3, "p": 0.5}, {"p": np.float64(0.25), "q": 1}, {"seed": 4, "q": 0.7},
+    {"horizon": np.int64(9), "warmup": 4.0}, {"q": np.float64(0.7), "p": 0.75, "seed": 2 ** 63},
+    {"warmup": np.int64(6), "p": 0.0, "horizon": 17}], ids=lambda params: "-".join(params))
+def test_a_swept_combination_equals_its_replaced_dataclasses(params):
+    _assert_derived(params)
+
+
+@pytest.mark.parametrize("params, message", [
+    ({"q": 0.3, "p": 0.3}, "p=0.3 is not a whole number of slots in a frame of length 4"),
+    ({"horizon": 9, "q": 1.7, "p": 0.3}, "ALOHA transmit probability must lie in [0, 1], got 1.7"),
+    ({"p": 0.5, "q": -0.1, "seed": 3}, "ALOHA transmit probability must lie in [0, 1], got -0.1")])
+def test_a_combination_keeps_the_message_of_its_first_bad_value(params, message):
+    with pytest.raises(ValidationError) as caught:
+        engine._derive(SWEEP_BASES["one_tdma"], params)
+    assert str(caught.value) == message
 
 
 @pytest.mark.parametrize("name, value, message", [
@@ -1212,5 +1221,5 @@ def test_a_swept_scenario_equals_its_replaced_dataclass(name, value):
     ("p", 1.25, "p=1.25 is not a whole number of slots in a frame of length 4")])
 def test_a_bad_swept_value_keeps_its_message(name, value, message):
     with pytest.raises(ValidationError) as caught:
-        engine._apply_parameter(SWEEP_BASES["one_tdma"], name, value)
+        engine._derive(SWEEP_BASES["one_tdma"], {name: value})
     assert str(caught.value) == message
